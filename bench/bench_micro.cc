@@ -269,9 +269,10 @@ void BM_EncoderForwardArena(benchmark::State& state) {
 BENCHMARK(BM_EncoderForwardArena)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Document-batch throughput (docs/sec): serial Parse loop vs the pooled
-// ParseBatch entry point, on a fused-attention pipeline and a composed-
-// reference pipeline. Arg0: 0 = serial/fused, 1 = batched/fused,
+// Document-batch throughput (docs/sec): serial Parse(request) loop vs the
+// pooled Parse(vector<ParseRequest>), on a fused-attention pipeline and a
+// composed-reference pipeline. The requests are built once, outside the
+// timed loop. Arg0: 0 = serial/fused, 1 = batched/fused,
 // 2 = serial/reference, 3 = batched/reference.
 struct ParseEnv {
   ParseEnv() {
@@ -284,6 +285,8 @@ struct ParseEnv {
     corpus = resumegen::GenerateCorpus(ccfg);
     for (const resumegen::GeneratedResume& r : corpus.test) {
       documents.push_back(r.document);
+      requests.emplace_back();
+      requests.back().document = r.document;
     }
     pipeline::PipelineOptions options;
     options.model.hidden = 64;
@@ -318,6 +321,7 @@ struct ParseEnv {
   }
   resumegen::Corpus corpus;
   std::vector<doc::Document> documents;
+  std::vector<pipeline::ParseRequest> requests;
   std::unique_ptr<pipeline::ResuFormerPipeline> fused;
   std::unique_ptr<pipeline::ResuFormerPipeline> reference;
 };
@@ -336,10 +340,10 @@ void BM_ParseThroughput(benchmark::State& state) {
   ThreadPool::Global().SetNumThreads(batched ? 4 : 1);
   for (auto _ : state) {
     if (batched) {
-      benchmark::DoNotOptimize(pipe.ParseBatch(env.documents));
+      benchmark::DoNotOptimize(pipe.Parse(env.requests));
     } else {
-      for (const doc::Document& document : env.documents) {
-        benchmark::DoNotOptimize(pipe.Parse(document));
+      for (const pipeline::ParseRequest& request : env.requests) {
+        benchmark::DoNotOptimize(pipe.Parse(request));
       }
     }
   }
@@ -596,27 +600,19 @@ void BM_GemmI8(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmI8)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// Cold start: load the paper-dims block classifier's parameters from each
-// checkpoint format. RFP2 stream-parses every payload into private heap
-// copies; RFP3 mmaps the file and points the tensors at the shared pages,
-// so its "load" is an index walk plus page-table setup.
+// Cold start: load the paper-dims block classifier's parameters from an
+// RFP3 checkpoint. The loader mmaps the file and points the tensors at the
+// shared pages, so its "load" is an index walk plus page-table setup.
 struct ColdStartEnv {
   ColdStartEnv() {
     PlanPaperEnv& paper = GetPlanPaperEnv();
     const char* tmp = std::getenv("TMPDIR");
     const std::string dir = tmp != nullptr ? tmp : "/tmp";
-    rfp2_path = dir + "/rf_bench_cold_v2.bin";
     rfp3_path = dir + "/rf_bench_cold_v3.bin";
-    ok = nn::SaveParameters(*paper.classifier, rfp2_path,
-                        nn::CheckpointFormat::kRfp2)
-             .ok() &&
-         nn::SaveParameters(*paper.classifier, rfp3_path,
-                        nn::CheckpointFormat::kRfp3)
-             .ok();
+    ok = nn::SaveParameters(*paper.classifier, rfp3_path).ok();
     Rng rng(41);
     target = std::make_unique<core::BlockClassifier>(paper.cfg, &rng);
   }
-  std::string rfp2_path;
   std::string rfp3_path;
   std::unique_ptr<core::BlockClassifier> target;
   bool ok = false;
@@ -626,22 +622,6 @@ ColdStartEnv& GetColdStartEnv() {
   static ColdStartEnv* env = new ColdStartEnv();
   return *env;
 }
-
-void BM_ColdStartRfp2(benchmark::State& state) {
-  ColdStartEnv& env = GetColdStartEnv();
-  if (!env.ok) {
-    state.SkipWithError("checkpoint save failed");
-    return;
-  }
-  for (auto _ : state) {
-    const Status st = nn::LoadParameters(env.target.get(), env.rfp2_path);
-    if (!st.ok()) {
-      state.SkipWithError(st.message().c_str());
-      return;
-    }
-  }
-}
-BENCHMARK(BM_ColdStartRfp2)->Unit(benchmark::kMillisecond);
 
 void BM_ColdStartRfp3Mmap(benchmark::State& state) {
   ColdStartEnv& env = GetColdStartEnv();

@@ -5,7 +5,8 @@
 //
 // Core subcommands:
 //   resuformer_cli train --out DIR [--seed N]     train the full pipeline and
-//                                                 save a checkpoint
+//                                                 save a checkpoint (RFP3,
+//                                                 replaced atomically)
 //   resuformer_cli parse [--model DIR]            parse resume text (--input
 //            [--input FILE] [--stats]             FILE or stdin) to JSON
 //   resuformer_cli bench                          per-resume latency of the
@@ -38,7 +39,6 @@
 //   --threads N          thread-pool width (0 = auto)
 //   --use-plan           static inference-plan replay (RESUFORMER_USE_PLAN)
 //   --use-int8           int8 GEMMs inside plan replay (RESUFORMER_USE_INT8)
-//   --save-rfp3          save mmap-able RFP3 checkpoints (RESUFORMER_SAVE_RFP3)
 // With no subcommand, train-and-parse runs — `resuformer_cli --trace-out
 // t.json` captures a trace of the full pipeline.
 
@@ -105,7 +105,7 @@ struct CommandSpec {
 const std::vector<FlagSpec>& GlobalFlags() {
   static const std::vector<FlagSpec> kGlobal = {
       {"--trace-out", true}, {"--metrics-out", true}, {"--threads", true},
-      {"--use-plan", false}, {"--use-int8", false},   {"--save-rfp3", false},
+      {"--use-plan", false}, {"--use-int8", false},
   };
   return kGlobal;
 }
@@ -154,7 +154,7 @@ int Usage() {
   std::fprintf(stderr,
                "\nglobal flags: --trace-out FILE  --metrics-out FILE"
                "  --threads N\n"
-               "              --use-plan  --use-int8  --save-rfp3\n");
+               "              --use-plan  --use-int8\n");
   return 2;
 }
 
@@ -791,7 +791,6 @@ int Run(int argc, char** argv) {
   if (!ok) return 2;
   if (HasFlag(args, "--use-plan")) g_runtime.use_inference_plan = true;
   if (HasFlag(args, "--use-int8")) g_runtime.use_int8 = true;
-  if (HasFlag(args, "--save-rfp3")) g_runtime.save_rfp3 = true;
   core::ApplyRuntimeOptions(g_runtime);
 
   const int rc = Dispatch(*cmd, args);

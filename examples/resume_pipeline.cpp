@@ -48,7 +48,9 @@ int main() {
               resumegen::AsciiRender(test.document,
                                      test.document.sentence_labels).c_str());
 
-  const pipeline::StructuredResume parsed = p->Parse(test.document);
+  pipeline::ParseRequest request;
+  request.document = test.document;
+  const pipeline::StructuredResume parsed = p->Parse(request).resume;
   std::printf("extracted structure:\n%s\n",
               pipeline::ResuFormerPipeline::ToPrettyString(parsed).c_str());
   return 0;

@@ -80,9 +80,7 @@ double AutoNer::Fit(const std::vector<distant::AnnotatedSequence>& train,
         .f1;
   };
 
-  const std::string snap_backbone = "/tmp/rf_autoner_backbone.bin";
-  const std::string snap_b = "/tmp/rf_autoner_bhead.bin";
-  const std::string snap_t = "/tmp/rf_autoner_thead.bin";
+  nn::ParameterSnapshot best_params;
   double best = -1.0;
   int bad = 0;
   for (int epoch = 0; epoch < epochs; ++epoch) {
@@ -161,23 +159,13 @@ double AutoNer::Fit(const std::vector<distant::AnnotatedSequence>& train,
     if (f1 > best) {
       best = f1;
       bad = 0;
-      WarnIfError(nn::SaveParameters(*backbone_, snap_backbone),
-                  "autoner backbone snapshot save");
-      WarnIfError(nn::SaveParameters(*boundary_head_, snap_b),
-                  "autoner boundary-head snapshot save");
-      WarnIfError(nn::SaveParameters(*type_head_, snap_t),
-                  "autoner type-head snapshot save");
+      best_params.Capture(params);
     } else if (++bad >= patience) {
       break;
     }
   }
   if (best >= 0.0) {
-    WarnIfError(nn::LoadParameters(backbone_.get(), snap_backbone),
-                "autoner backbone snapshot restore");
-    WarnIfError(nn::LoadParameters(boundary_head_.get(), snap_b),
-                "autoner boundary-head snapshot restore");
-    WarnIfError(nn::LoadParameters(type_head_.get(), snap_t),
-                "autoner type-head snapshot restore");
+    RF_CHECK(best_params.Restore(params).ok());
   }
   backbone_->SetTraining(false);
   return best;

@@ -42,21 +42,7 @@ double BertBilstmCrf::Fit(
     return scorer.Overall().f1;
   };
 
-  const std::string snapshot =
-      std::string("/tmp/rf_bbc_") + (fuzzy_ ? "fcrf" : "crf") + ".bin";
-  auto save = [&]() {
-    WarnIfError(nn::SaveParameters(*backbone_, snapshot),
-                "bilstm-crf backbone snapshot save");
-    WarnIfError(nn::SaveParameters(*crf_, snapshot + ".crf"),
-                "bilstm-crf head snapshot save");
-  };
-  auto load = [&]() {
-    WarnIfError(nn::LoadParameters(backbone_.get(), snapshot),
-                "bilstm-crf backbone snapshot restore");
-    WarnIfError(nn::LoadParameters(crf_.get(), snapshot + ".crf"),
-                "bilstm-crf head snapshot restore");
-  };
-
+  nn::ParameterSnapshot best_params;
   double best = -1.0;
   int bad = 0;
   for (int epoch = 0; epoch < epochs; ++epoch) {
@@ -123,12 +109,14 @@ double BertBilstmCrf::Fit(
     if (f1 > best) {
       best = f1;
       bad = 0;
-      save();
+      best_params.Capture(params);
     } else if (++bad >= patience) {
       break;
     }
   }
-  if (best >= 0.0) load();
+  if (best >= 0.0) {
+    RF_CHECK(best_params.Restore(params).ok());
+  }
   backbone_->SetTraining(false);
   return best;
 }

@@ -246,8 +246,7 @@ void TokenTaggerBase::Fit(const std::vector<const doc::Document*>& train,
     return total ? static_cast<double>(correct) / total : 0.0;
   };
 
-  const std::string snapshot =
-      std::string("/tmp/rf_token_tagger_") + name() + ".bin";
+  nn::ParameterSnapshot best_params;
   double best = -1.0;
   int bad = 0;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -271,15 +270,13 @@ void TokenTaggerBase::Fit(const std::vector<const doc::Document*>& train,
     if (acc > best) {
       best = acc;
       bad = 0;
-      WarnIfError(nn::SaveParameters(*this, snapshot),
-                  "layout-token snapshot save");
+      best_params.Capture(Parameters());
     } else if (++bad >= config_.patience) {
       break;
     }
   }
   if (best >= 0.0) {
-    WarnIfError(nn::LoadParameters(this, snapshot),
-                "layout-token snapshot restore");
+    RF_CHECK(best_params.Restore(Parameters()).ok());
   }
   SetTraining(false);
 }

@@ -84,7 +84,6 @@ RuntimeOptions RuntimeOptions::FromEnv(Status* strict_error) {
   opts.use_inference_plan =
       ParseBoolEnv("RESUFORMER_USE_PLAN", opts.use_inference_plan);
   opts.use_int8 = ParseBoolEnv("RESUFORMER_USE_INT8", opts.use_int8);
-  opts.save_rfp3 = ParseBoolEnv("RESUFORMER_SAVE_RFP3", opts.save_rfp3);
   opts.enable_metrics =
       ParseBoolEnv("RESUFORMER_METRICS", opts.enable_metrics);
   opts.enable_tracing = ParseBoolEnv("RESUFORMER_TRACE", opts.enable_tracing);

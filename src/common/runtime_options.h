@@ -25,7 +25,6 @@ namespace resuformer {
 ///   RESUFORMER_TENSOR_ARENA     0/1    tensor-storage recycling
 ///   RESUFORMER_USE_PLAN         0/1    static inference-plan replay
 ///   RESUFORMER_USE_INT8         0/1    int8 GEMMs inside plan replay
-///   RESUFORMER_SAVE_RFP3        0/1    save mmap-able RFP3 checkpoints
 ///   RESUFORMER_METRICS          0/1    timed metrics (histograms/timers)
 ///   RESUFORMER_TRACE            0/1    scoped-span tracing
 ///
@@ -74,10 +73,11 @@ struct RuntimeOptions {
   // count. Default off.
   bool use_int8 = false;
 
-  // Write checkpoints in the mmap-able RFP3 layout (64-byte-aligned raw
-  // payloads; see nn/serialize.h) instead of RFP2. Loading auto-detects
-  // the format, so this only affects Save. Default off.
-  bool save_rfp3 = false;
+  // Checkpoints are always written in the mmap-able RFP3 layout (see
+  // nn/serialize.h); nothing can change that. The constant stays so that
+  // tools printing every knob (perfbench's run header) keep building and
+  // record which layout their checkpoints used.
+  static constexpr bool save_rfp3 = true;
 
   // Enables the *timed* metrics (latency histograms, thread-pool queue-wait
   // sampling). Structural counters (arena hits, documents parsed, GEMM

@@ -153,8 +153,8 @@ void ThreadPool::ParallelFor(int64_t count, const RangeFn& fn) {
     // crashing, as earlier revisions did): the result is identical — the
     // body observes worker 0 over the full range, the same partitioning a
     // one-worker dispatch would use — and concurrent callers (e.g. two
-    // request threads both inside ParseBatch) stay correct. The body is
-    // still "inside a ParallelFor" for misuse-detection purposes, so mark
+    // request threads both inside a batched Parse) stay correct. The body
+    // is still "inside a ParallelFor" for misuse-detection purposes, so mark
     // the thread pool-owned while it runs (also inlines nested calls).
     if (contended) ContendedInlineCounter()->Increment();
     g_in_pool_worker = true;

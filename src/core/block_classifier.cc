@@ -92,7 +92,7 @@ double FinetuneBlockClassifier(BlockClassifier* model,
 
   double best_val = -1.0;
   int bad_epochs = 0;
-  const std::string snapshot = "/tmp/rf_block_classifier_best.bin";
+  nn::ParameterSnapshot best;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     model->SetTraining(true);
     const std::vector<int> order =
@@ -120,15 +120,13 @@ double FinetuneBlockClassifier(BlockClassifier* model,
     if (val_acc > best_val) {
       best_val = val_acc;
       bad_epochs = 0;
-      WarnIfError(nn::SaveParameters(*model, snapshot),
-                  "finetune best-model snapshot save");
+      best.Capture(model->Parameters());
     } else if (++bad_epochs >= options.patience) {
       break;  // early stopping
     }
   }
   if (best_val >= 0.0) {
-    WarnIfError(nn::LoadParameters(model, snapshot),
-                "finetune best-model snapshot restore");
+    RF_CHECK(best.Restore(model->Parameters()).ok());
   }
   model->SetTraining(false);
   return best_val;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -24,12 +25,12 @@ namespace nn {
 namespace {
 // RFP1 stored only flattened element counts, so two same-size parameters
 // with different shapes (e.g. a transposed projection) loaded silently into
-// the wrong layout. RFP2 stores per-tensor shapes and verifies them; RFP1
-// files remain readable with the legacy size-only check. RFP3 moves the
-// shape index to the front of the file and aligns every raw payload to 64
-// bytes so the whole file can be mmap'd and parameters pointed straight at
-// the page cache. All multi-byte fields are little-endian; a big-endian
-// reader rejects the magic rather than mis-reading payloads.
+// the wrong layout; its magic is still recognised, only to refuse the file.
+// RFP2 stores per-tensor shapes and verifies them. RFP3 moves the shape
+// index to the front of the file and aligns every raw payload to 64 bytes
+// so the whole file can be mmap'd and parameters pointed straight at the
+// page cache. All multi-byte fields are little-endian; a big-endian reader
+// rejects the magic rather than mis-reading payloads.
 constexpr uint32_t kMagicV1 = 0x52465031;  // "RFP1"
 constexpr uint32_t kMagicV2 = 0x52465032;  // "RFP2"
 constexpr uint32_t kMagicV3 = 0x52465033;  // "RFP3"
@@ -44,6 +45,39 @@ std::string ShapeToString(const std::vector<int>& shape) {
     s += std::to_string(shape[i]);
   }
   return s + "]";
+}
+
+Status CountMismatch(const std::string& source, uint64_t have, size_t want) {
+  return Status::InvalidArgument(StringPrintf(
+      "parameter count mismatch: %s has %llu, module has %zu",
+      source.c_str(), static_cast<unsigned long long>(have), want));
+}
+
+Status ShapeMismatch(const std::string& source, size_t index,
+                     const std::vector<int>& have,
+                     const std::vector<int>& want) {
+  return Status::InvalidArgument(StringPrintf(
+      "parameter %zu shape mismatch: %s has %s, module has %s", index,
+      source.c_str(), ShapeToString(have).c_str(),
+      ShapeToString(want).c_str()));
+}
+
+/// InvalidArgument unless `shapes` matches `params` in count and in every
+/// shape, checked before anything is copied. Equal element counts are not
+/// enough: a [3,5] payload copied into a [5,3] parameter would silently
+/// transpose it.
+Status CheckShapes(const std::string& source,
+                   const std::vector<std::vector<int>>& shapes,
+                   const std::vector<Tensor>& params) {
+  if (shapes.size() != params.size()) {
+    return CountMismatch(source, shapes.size(), params.size());
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (shapes[i] != params[i].shape()) {
+      return ShapeMismatch(source, i, shapes[i], params[i].shape());
+    }
+  }
+  return Status::OK();
 }
 
 /// Byte size of the whole file, or -1 on failure. Pre-validating payload
@@ -111,11 +145,16 @@ Status ReadRfp2RecordHeader(std::ifstream* in, int64_t file_size,
   return Status::OK();
 }
 
+/// Writes an RFP3 image to `path + ".tmp"` and renames it over `path`.
+/// rename() swaps the directory entry atomically: readers see either the
+/// old file or the new one, and a process that mmap'd the old file keeps
+/// the old inode — rewriting in place would change its loaded weights.
 Status WriteRfp3File(const std::vector<std::vector<int>>& shapes,
                      const std::vector<const float*>& payloads,
                      const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for write: " + path);
+  const std::string tmp_path = path + ".tmp";
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IoError("cannot open for write: " + tmp_path);
   const uint64_t count = shapes.size();
   // Header + index size determines where the aligned payload region starts.
   uint64_t pos = sizeof(kMagicV3) + sizeof(uint32_t) + sizeof(count);
@@ -156,7 +195,47 @@ Status WriteRfp3File(const std::vector<std::vector<int>>& shapes,
               static_cast<std::streamsize>(sizes[i]));
     written = offsets[i] + sizes[i];
   }
-  if (!out) return Status::IoError("write failed: " + path);
+  out.close();
+  if (!out) {
+    std::remove(tmp_path.c_str());
+    return Status::IoError("write failed: " + tmp_path);
+  }
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    return Status::IoError("cannot rename " + tmp_path + " to " + path);
+  }
+  return Status::OK();
+}
+
+/// Reads and validates a whole RFP2 file into per-parameter shapes and
+/// values. RFP2 records are self-describing, so this needs no module; an
+/// absurd record count is caught record by record, each of which
+/// bounds-checks against the true file size before allocating.
+Status ReadRfp2File(const std::string& path,
+                    std::vector<std::vector<int>>* shapes,
+                    std::vector<std::vector<float>>* values) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("cannot open for read: " + path);
+  const int64_t file_size = FileSizeOf(&in);
+  if (file_size < 0) return Status::IoError("cannot stat: " + path);
+  uint32_t magic = 0;
+  uint64_t count = 0;
+  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  if (!in || magic != kMagicV2) {
+    return Status::IoError("bad parameter file header: " + path);
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    ParamRecord rec;
+    RF_RETURN_NOT_OK(ReadRfp2RecordHeader(&in, file_size,
+                                          static_cast<size_t>(i), path, &rec));
+    std::vector<float> payload(rec.elements);
+    in.read(reinterpret_cast<char*>(payload.data()),
+            static_cast<std::streamsize>(rec.elements * 4));
+    if (!in) return Status::IoError("truncated parameter file: " + path);
+    shapes->push_back(std::move(rec.shape));
+    values->push_back(std::move(payload));
+  }
   return Status::OK();
 }
 
@@ -208,11 +287,7 @@ Status ParseRfp3Index(const unsigned char* base, uint64_t file_size,
       !cur.ReadU64(&count) || magic != kMagicV3) {
     return Status::IoError("bad parameter file header: " + path);
   }
-  if (count != params.size()) {
-    return Status::InvalidArgument(StringPrintf(
-        "parameter count mismatch: file has %llu, module has %zu",
-        static_cast<unsigned long long>(count), params.size()));
-  }
+  if (count != params.size()) return CountMismatch(path, count, params.size());
   records->resize(count);
   for (uint64_t i = 0; i < count; ++i) {
     ParamRecord& rec = (*records)[i];
@@ -237,11 +312,7 @@ Status ParseRfp3Index(const unsigned char* base, uint64_t file_size,
     }
     if (!cur.ReadU64(&rec.payload_offset)) return TruncatedRecord(i, path);
     if (rec.shape != params[i].shape()) {
-      return Status::InvalidArgument(StringPrintf(
-          "parameter %llu shape mismatch in %s: file has %s, module has %s",
-          static_cast<unsigned long long>(i), path.c_str(),
-          ShapeToString(rec.shape).c_str(),
-          ShapeToString(params[i].shape()).c_str()));
+      return ShapeMismatch(path, i, rec.shape, params[i].shape());
     }
     const uint64_t bytes = rec.elements * 4;
     if (rec.payload_offset % kPayloadAlign != 0 ||
@@ -331,150 +402,73 @@ Status LoadParametersRfp3(std::vector<Tensor>* params,
 
 }  // namespace
 
-Status SaveParameters(const Module& module, const std::string& path,
-                      CheckpointFormat format) {
+Status SaveParameters(const Module& module, const std::string& path) {
   const std::vector<Tensor> params = module.Parameters();
-  if (format == CheckpointFormat::kRfp3) {
-    std::vector<std::vector<int>> shapes;
-    std::vector<const float*> payloads;
-    shapes.reserve(params.size());
-    payloads.reserve(params.size());
-    for (const Tensor& p : params) {
-      shapes.push_back(p.shape());
-      payloads.push_back(p.data());
-    }
-    return WriteRfp3File(shapes, payloads, path);
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  const uint64_t count = params.size();
-  out.write(reinterpret_cast<const char*>(&kMagicV2), sizeof(kMagicV2));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  std::vector<std::vector<int>> shapes;
+  std::vector<const float*> payloads;
+  shapes.reserve(params.size());
+  payloads.reserve(params.size());
   for (const Tensor& p : params) {
-    const uint32_t rank = static_cast<uint32_t>(p.rank());
-    out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
-    for (int d = 0; d < p.rank(); ++d) {
-      const int32_t extent = p.dim(d);
-      out.write(reinterpret_cast<const char*>(&extent), sizeof(extent));
-    }
-    out.write(reinterpret_cast<const char*>(p.data()),
-              static_cast<std::streamsize>(p.size() * sizeof(float)));
+    shapes.push_back(p.shape());
+    payloads.push_back(p.data());
   }
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  return WriteRfp3File(shapes, payloads, path);
 }
 
 Status LoadParameters(Module* module, const std::string& path) {
   std::vector<Tensor> params = module->Parameters();
+  uint32_t magic = 0;
   {
     std::ifstream sniff(path, std::ios::binary);
     if (!sniff) return Status::IoError("cannot open for read: " + path);
-    uint32_t magic = 0;
     sniff.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (sniff && magic == kMagicV3) {
-      return LoadParametersRfp3(&params, path);
-    }
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  const int64_t file_size = FileSizeOf(&in);
-  if (file_size < 0) return Status::IoError("cannot stat: " + path);
-  uint32_t magic = 0;
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || (magic != kMagicV1 && magic != kMagicV2)) {
-    return Status::IoError("bad parameter file header: " + path);
+  if (magic == kMagicV3) return LoadParametersRfp3(&params, path);
+  if (magic == kMagicV1) {
+    return Status::FailedPrecondition(
+        "unsupported legacy RFP1 checkpoint " + path +
+        ": it records no tensor shapes; only RFP2 and RFP3 are readable");
   }
-  if (count != params.size()) {
-    return Status::InvalidArgument(StringPrintf(
-        "parameter count mismatch: file has %llu, module has %zu",
-        static_cast<unsigned long long>(count), params.size()));
-  }
-  size_t index = 0;
-  for (Tensor& p : params) {
-    if (magic == kMagicV2) {
-      ParamRecord rec;
-      const Status st = ReadRfp2RecordHeader(&in, file_size, index, path, &rec);
-      if (!st.ok()) return st;
-      if (rec.shape != p.shape()) {
-        return Status::InvalidArgument(StringPrintf(
-            "parameter %zu shape mismatch in %s: file has %s, module has %s",
-            index, path.c_str(), ShapeToString(rec.shape).c_str(),
-            ShapeToString(p.shape()).c_str()));
-      }
-    } else {
-      // Legacy RFP1 record: flattened element count only.
-      uint64_t n = 0;
-      if (static_cast<int64_t>(in.tellg()) + 8 > file_size) {
-        return TruncatedRecord(index, path);
-      }
-      in.read(reinterpret_cast<char*>(&n), sizeof(n));
-      if (!in || n != static_cast<uint64_t>(p.size())) {
-        return Status::InvalidArgument("parameter size mismatch in " + path);
-      }
-      if (static_cast<int64_t>(in.tellg()) + static_cast<int64_t>(n) * 4 >
-          file_size) {
-        return Status::FailedPrecondition(StringPrintf(
-            "parameter %zu: payload extends past end of file %s", index,
-            path.c_str()));
-      }
-    }
-    in.read(reinterpret_cast<char*>(p.data()),
-            static_cast<std::streamsize>(p.size() * sizeof(float)));
-    if (!in) return Status::IoError("truncated parameter file: " + path);
-    ++index;
+  std::vector<std::vector<int>> shapes;
+  std::vector<std::vector<float>> values;
+  RF_RETURN_NOT_OK(ReadRfp2File(path, &shapes, &values));
+  RF_RETURN_NOT_OK(CheckShapes(path, shapes, params));
+  for (size_t i = 0; i < params.size(); ++i) {
+    std::copy(values[i].begin(), values[i].end(), params[i].data());
   }
   return Status::OK();
 }
 
 Status ConvertRfp2ToRfp3(const std::string& src_path,
                          const std::string& dst_path) {
-  std::ifstream in(src_path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + src_path);
-  const int64_t file_size = FileSizeOf(&in);
-  if (file_size < 0) return Status::IoError("cannot stat: " + src_path);
-  uint32_t magic = 0;
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || magic != kMagicV2) {
-    return Status::InvalidArgument("not an RFP2 checkpoint: " + src_path);
-  }
-  // RFP2 records are self-describing, so conversion needs no module — but
-  // an absurd count would only be caught record-by-record below, each of
-  // which bounds-checks against the true file size before allocating.
   std::vector<std::vector<int>> shapes;
-  std::vector<std::vector<float>> data;
-  for (uint64_t i = 0; i < count; ++i) {
-    ParamRecord rec;
-    const Status st = ReadRfp2RecordHeader(
-        &in, file_size, static_cast<size_t>(i), src_path, &rec);
-    if (!st.ok()) return st;
-    std::vector<float> payload(rec.elements);
-    in.read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(rec.elements * 4));
-    if (!in) return Status::IoError("truncated parameter file: " + src_path);
-    shapes.push_back(std::move(rec.shape));
-    data.push_back(std::move(payload));
-  }
+  std::vector<std::vector<float>> values;
+  RF_RETURN_NOT_OK(ReadRfp2File(src_path, &shapes, &values));
   std::vector<const float*> payloads;
-  payloads.reserve(data.size());
-  for (const auto& d : data) payloads.push_back(d.data());
+  payloads.reserve(values.size());
+  for (const auto& v : values) payloads.push_back(v.data());
   return WriteRfp3File(shapes, payloads, dst_path);
 }
 
 Status CopyParameters(const Module& source, Module* target) {
-  const std::vector<Tensor> src = source.Parameters();
-  std::vector<Tensor> dst = target->Parameters();
-  if (src.size() != dst.size()) {
-    return Status::InvalidArgument("module structures differ");
+  ParameterSnapshot snapshot;
+  snapshot.Capture(source.Parameters());
+  return snapshot.Restore(target->Parameters());
+}
+
+void ParameterSnapshot::Capture(const std::vector<Tensor>& params) {
+  shapes_.resize(params.size());
+  values_.resize(params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    shapes_[i] = params[i].shape();
+    values_[i].assign(params[i].data(), params[i].data() + params[i].size());
   }
-  for (size_t i = 0; i < src.size(); ++i) {
-    if (src[i].size() != dst[i].size()) {
-      return Status::InvalidArgument("parameter shapes differ");
-    }
-    std::copy(src[i].data(), src[i].data() + src[i].size(), dst[i].data());
+}
+
+Status ParameterSnapshot::Restore(std::vector<Tensor> params) const {
+  RF_RETURN_NOT_OK(CheckShapes("the source", shapes_, params));
+  for (size_t i = 0; i < params.size(); ++i) {
+    std::copy(values_[i].begin(), values_[i].end(), params[i].data());
   }
   return Status::OK();
 }

@@ -53,8 +53,8 @@ std::vector<std::pair<std::string, int64_t>> ManifestFields(
 /// Stamps wall time and the arena hit rate over [start_ns, now] into stats.
 /// The rate diffs the *calling thread's* arena counters: a parse runs
 /// entirely on one thread, so the window sees only this document's
-/// allocations even when ParseBatchWithStats parses documents concurrently
-/// (the process-wide counters would mix every worker's traffic).
+/// allocations even when a batched Parse runs documents concurrently (the
+/// process-wide counters would mix every worker's traffic).
 void FinalizeParseStats(int64_t start_ns,
                         const TensorArena::ThreadStats& before,
                         ParseStats* stats) {
@@ -161,10 +161,10 @@ ParseResponse ResuFormerPipeline::Parse(const ParseRequest& request) const {
         "parse deadline passed before the document was parsed");
     return response;
   }
-  ParseResult result = ParseDocument(request.document);
-  response.resume = std::move(result.resume);
+  ParseStats stats;
+  response.resume = ParseDocument(request.document, &stats);
   if (request.want_stats) {
-    response.stats = result.stats;
+    response.stats = stats;
     response.stats.request_id = request.request_id;
   }
   return response;
@@ -189,18 +189,8 @@ std::vector<ParseResponse> ResuFormerPipeline::Parse(
   return out;
 }
 
-StructuredResume ResuFormerPipeline::Parse(
-    const doc::Document& document) const {
-  return ParseDocument(document).resume;
-}
-
-ParseResult ResuFormerPipeline::ParseWithStats(
-    const doc::Document& document) const {
-  return ParseDocument(document);
-}
-
-ParseResult ResuFormerPipeline::ParseDocument(
-    const doc::Document& document) const {
+StructuredResume ResuFormerPipeline::ParseDocument(
+    const doc::Document& document, ParseStats* stats) const {
   TRACE_SPAN("pipeline.parse");
   auto& registry = metrics::MetricsRegistry::Global();
   static metrics::Counter* documents_counter =
@@ -222,8 +212,7 @@ ParseResult ResuFormerPipeline::ParseDocument(
   const TensorArena::ThreadStats arena_before = TensorArena::thread_stats();
   documents_counter->Increment();
 
-  ParseResult result;
-  StructuredResume& out = result.resume;
+  StructuredResume out;
   core::ResuFormerConfig model_cfg = options_.model;
   model_cfg.vocab_size = tokenizer_->vocab().size();
   core::EncodedDocument encoded;
@@ -231,11 +220,11 @@ ParseResult ResuFormerPipeline::ParseDocument(
     TRACE_SPAN("pipeline.encode");
     encoded = core::EncodeForModel(document, *tokenizer_, model_cfg);
   }
-  result.stats.num_sentences = static_cast<int>(encoded.sentences.size());
-  sentences_counter->Increment(result.stats.num_sentences);
+  stats->num_sentences = static_cast<int>(encoded.sentences.size());
+  sentences_counter->Increment(stats->num_sentences);
   if (encoded.sentences.empty()) {
-    FinalizeParseStats(start_ns, arena_before, &result.stats);
-    return result;
+    FinalizeParseStats(start_ns, arena_before, stats);
+    return out;
   }
   std::vector<int> labels;
   {
@@ -302,53 +291,22 @@ ParseResult ResuFormerPipeline::ParseDocument(
         }
       }
     }
-    result.stats.num_entities += static_cast<int>(sb.entities.size());
+    stats->num_entities += static_cast<int>(sb.entities.size());
     out.blocks.push_back(std::move(sb));
   }
-  result.stats.num_blocks = static_cast<int>(out.blocks.size());
-  blocks_counter->Increment(result.stats.num_blocks);
-  entities_counter->Increment(result.stats.num_entities);
-  FinalizeParseStats(start_ns, arena_before, &result.stats);
-  return result;
-}
-
-std::vector<StructuredResume> ResuFormerPipeline::ParseBatch(
-    const std::vector<doc::Document>& documents) const {
-  std::vector<ParseResult> results = ParseBatchWithStats(documents);
-  std::vector<StructuredResume> out;
-  out.reserve(results.size());
-  for (ParseResult& r : results) out.push_back(std::move(r.resume));
-  return out;
-}
-
-std::vector<ParseResult> ResuFormerPipeline::ParseBatchWithStats(
-    const std::vector<doc::Document>& documents) const {
-  TRACE_SPAN("pipeline.parse_batch");
-  // Same fan-out as the ParseRequest batch overload, but straight over the
-  // borrowed documents — wrapping them in ParseRequests would copy every
-  // document just to unwrap it again.
-  std::vector<ParseResult> out(documents.size());
-  ThreadPool::Global().ParallelFor(
-      static_cast<int64_t>(documents.size()),
-      [&](int /*worker*/, int64_t begin, int64_t end) {
-        NoGradGuard no_grad;
-        for (int64_t i = begin; i < end; ++i) {
-          out[i] = ParseDocument(documents[i]);
-        }
-      });
+  stats->num_blocks = static_cast<int>(out.blocks.size());
+  blocks_counter->Increment(stats->num_blocks);
+  entities_counter->Increment(stats->num_entities);
+  FinalizeParseStats(start_ns, arena_before, stats);
   return out;
 }
 
 Status ResuFormerPipeline::Save(const std::string& directory) const {
   RF_RETURN_NOT_OK(tokenizer_->vocab().Save(directory + "/vocab.txt"));
-  const nn::CheckpointFormat format = options_.model.runtime.save_rfp3
-                                          ? nn::CheckpointFormat::kRfp3
-                                          : nn::CheckpointFormat::kRfp2;
-  RF_RETURN_NOT_OK(nn::SaveParameters(*block_classifier_,
-                                      directory + "/block.bin", format));
+  RF_RETURN_NOT_OK(
+      nn::SaveParameters(*block_classifier_, directory + "/block.bin"));
   if (ner_model_ != nullptr) {
-    RF_RETURN_NOT_OK(
-        nn::SaveParameters(*ner_model_, directory + "/ner.bin", format));
+    RF_RETURN_NOT_OK(nn::SaveParameters(*ner_model_, directory + "/ner.bin"));
   }
   std::ofstream manifest(ManifestPath(directory));
   if (!manifest) {

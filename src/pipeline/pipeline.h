@@ -37,7 +37,7 @@ struct StructuredResume {
 /// Per-document measurements captured alongside a parse. Counts are exact;
 /// arena_hit_rate is computed from the *calling thread's* arena counters
 /// over the parse window, so it describes this document's own allocations
-/// even when several documents parse concurrently (ParseBatchWithStats runs
+/// even when several documents parse concurrently (the batched Parse runs
 /// each document entirely on one worker).
 struct ParseStats {
   double wall_time_us = 0.0;
@@ -46,12 +46,6 @@ struct ParseStats {
   int num_entities = 0;
   double arena_hit_rate = 0.0;  // hits / (hits + misses); 0 when no traffic
   int64_t request_id = 0;       // echoed from the ParseRequest (0 = none)
-};
-
-/// A parse plus its measurements — returned by the *WithStats entry points.
-struct ParseResult {
-  StructuredResume resume;
-  ParseStats stats;
 };
 
 /// \brief The one parse input every consumer builds — CLI, batch jobs and
@@ -137,29 +131,9 @@ class ResuFormerPipeline {
   [[nodiscard]] std::vector<ParseResponse> Parse(
       const std::vector<ParseRequest>& requests) const;
 
-  // --- deprecated pre-ParseRequest surface ---------------------------------
-  // Thin wrappers over Parse(ParseRequest)/Parse(vector<ParseRequest>),
-  // kept so existing callers compile unchanged. New code should build a
-  // ParseRequest.
-
-  /// \deprecated Use Parse(const ParseRequest&).
-  StructuredResume Parse(const doc::Document& document) const;
-
-  /// \deprecated Use Parse(const ParseRequest&) with want_stats = true.
-  ParseResult ParseWithStats(const doc::Document& document) const;
-
-  /// \deprecated Use Parse(const std::vector<ParseRequest>&).
-  std::vector<StructuredResume> ParseBatch(
-      const std::vector<doc::Document>& documents) const;
-
-  /// \deprecated Use Parse(const std::vector<ParseRequest>&) with
-  /// want_stats = true.
-  std::vector<ParseResult> ParseBatchWithStats(
-      const std::vector<doc::Document>& documents) const;
-
-  /// Persists the trained pipeline (vocabulary + both models' parameters)
-  /// into `directory` (must exist), plus a manifest recording the vocab
-  /// size and model dimensions. Load() requires the same PipelineOptions
+  /// Persists the trained pipeline (vocabulary + both models' parameters
+  /// as RFP3, see nn/serialize.h) into `directory` (must exist), plus a
+  /// manifest recording the vocab size and model dimensions. Load() requires the same PipelineOptions
   /// used for training; with a manifest present it verifies the options
   /// against it and fails with FailedPrecondition (naming the mismatched
   /// field) instead of deserializing garbage. Checkpoints predating the
@@ -182,16 +156,17 @@ class ResuFormerPipeline {
  private:
   ResuFormerPipeline() = default;
 
-  /// The actual parse implementation (always computes stats; callers that
-  /// don't want them drop them). Everything public funnels here.
-  ParseResult ParseDocument(const doc::Document& document) const;
+  /// The parse itself, behind Parse(request)'s deadline check. Always
+  /// fills `stats`; Parse drops them unless the request wants them.
+  StructuredResume ParseDocument(const doc::Document& document,
+                                 ParseStats* stats) const;
 
   PipelineOptions options_;
   std::unique_ptr<text::WordPieceTokenizer> tokenizer_;
   std::unique_ptr<core::BlockClassifier> block_classifier_;
   std::unique_ptr<selftrain::NerModel> ner_model_;
   // Non-null only when options_.model.runtime.use_inference_plan or
-  // .use_int8 is set; ParseWithStats then routes block prediction through
+  // .use_int8 is set; ParseDocument then routes block prediction through
   // the plan cache (int8 kernels when use_int8, fp32 replay otherwise).
   std::unique_ptr<core::InferencePlanner> planner_;
 };

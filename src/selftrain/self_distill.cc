@@ -74,7 +74,7 @@ double SelfDistillTrainer::TrainSupervised(
                 1e-8f, model_config_.weight_decay);
   adam.SetLearningRateFor(model->HeadParameters(), model_config_.head_lr);
 
-  const std::string snapshot = "/tmp/rf_ner_teacher_best.bin";
+  nn::ParameterSnapshot best_params;
   double best = -1.0;
   int bad = 0;
   for (int epoch = 0; epoch < epochs; ++epoch) {
@@ -101,15 +101,13 @@ double SelfDistillTrainer::TrainSupervised(
     if (f1 > best) {
       best = f1;
       bad = 0;
-      WarnIfError(nn::SaveParameters(*model, snapshot),
-                  "teacher best-model snapshot save");
+      best_params.Capture(model->Parameters());
     } else if (++bad >= patience) {
       break;  // early stopping: the distant labels are noisy, don't overfit
     }
   }
   if (best >= 0.0) {
-    WarnIfError(nn::LoadParameters(model, snapshot),
-                "teacher best-model snapshot restore");
+    RF_CHECK(best_params.Restore(model->Parameters()).ok());
   }
   model->SetTraining(false);
   return best;
@@ -212,10 +210,10 @@ SelfTrainResult SelfDistillTrainer::Train(
                 0.999f, 1e-8f, model_config_.weight_decay);
   adam.SetLearningRateFor(student->HeadParameters(), model_config_.head_lr);
 
-  const std::string snapshot = "/tmp/rf_ner_student_best.bin";
+  // The teacher always holds the best model so far: it starts as the
+  // student's initialization and is re-initialized from every student that
+  // improves, so it is the result — no separate snapshot needed.
   double best = teacher_f1;
-  WarnIfError(nn::SaveParameters(*student, snapshot),
-              "student initial snapshot save");
   for (int iter = 0; iter < options_.iterations; ++iter) {
     for (int e = 0; e < options_.student_epochs_per_iteration; ++e) {
       StudentEpoch(*teacher, student.get(), train, &adam);
@@ -227,18 +225,13 @@ SelfTrainResult SelfDistillTrainer::Train(
     }
     if (f1 > best) {
       best = f1;
-      WarnIfError(nn::SaveParameters(*student, snapshot),
-                  "student best-model snapshot save");
       // Re-initialize the teacher from the improved student (Algorithm 2,
       // line 8): a better student produces a better teacher.
       RF_CHECK(nn::CopyParameters(*student, teacher.get()).ok());
     }
   }
-  WarnIfError(nn::LoadParameters(student.get(), snapshot),
-              "student best-model snapshot restore");
-  student->SetTraining(false);
   result.best_val_f1 = best;
-  result.model = std::move(student);
+  result.model = std::move(teacher);
   return result;
 }
 

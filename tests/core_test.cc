@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "common/thread_pool.h"
 #include "core/block_classifier.h"
 #include "core/distiller.h"
 #include "core/hierarchical_encoder.h"
@@ -188,6 +193,90 @@ TEST(BlockClassifierTest, OverfitsTinyTrainingSet) {
   const double acc = FinetuneBlockClassifier(&model, train, train, options,
                                              &rng);
   EXPECT_GT(acc, 0.8);  // must be able to (nearly) memorize 4 documents
+}
+
+/// A fine-tuning run from one seed: model construction and training share
+/// the Rng, exactly like the pipeline's stage 2.
+struct FinetuneRun {
+  FinetuneRun(const ResuFormerConfig& cfg, uint64_t seed)
+      : rng(std::make_unique<Rng>(seed)),
+        model(std::make_unique<BlockClassifier>(cfg, rng.get())) {}
+
+  void Finetune(const std::vector<LabeledDocument>& train,
+                const std::vector<LabeledDocument>& val) {
+    FinetuneOptions options;
+    options.epochs = 4;
+    options.patience = 2;
+    best = FinetuneBlockClassifier(model.get(), train, val, options,
+                                   rng.get());
+  }
+
+  std::vector<float> FlatParameters() const {
+    std::vector<float> flat;
+    for (const Tensor& p : model->Parameters()) {
+      flat.insert(flat.end(), p.data(), p.data() + p.size());
+    }
+    return flat;
+  }
+
+  std::unique_ptr<Rng> rng;
+  std::unique_ptr<BlockClassifier> model;
+  double best = -1.0;
+};
+
+void SplitFixture(const ResuFormerConfig& cfg,
+                  std::vector<LabeledDocument>* train,
+                  std::vector<LabeledDocument>* val) {
+  auto& fx = GetFixture();
+  for (const auto& r : fx.corpus.train) {
+    train->push_back(MakeLabeledDocument(r.document, fx.tokenizer, cfg));
+  }
+  for (const auto& r : fx.corpus.val) {
+    val->push_back(MakeLabeledDocument(r.document, fx.tokenizer, cfg));
+  }
+}
+
+TEST(BlockClassifierTest, FinetuneLeavesTheBestValidationModel) {
+  // Early stopping restores the best epoch's weights, so the model left
+  // behind must score exactly the returned best on the validation set.
+  ResuFormerConfig cfg = TinyConfig(GetFixture().tokenizer.vocab().size());
+  std::vector<LabeledDocument> train, val;
+  SplitFixture(cfg, &train, &val);
+  FinetuneRun run(cfg, 12);
+  run.Finetune(train, val);
+  ASSERT_GE(run.best, 0.0);
+  EXPECT_EQ(SentenceLabelAccuracy(*run.model, val), run.best);
+}
+
+TEST(BlockClassifierTest, ConcurrentFinetunesKeepTheirOwnBest) {
+  // Two same-shape, differently seeded fine-tunes running at once must each
+  // end with the weights of their serial run: the best-model snapshot is
+  // per run, not a shared file. Pool width 1 keeps both bit-reproducible.
+  ResuFormerConfig cfg = TinyConfig(GetFixture().tokenizer.vocab().size());
+  cfg.runtime.threads = 1;
+  std::vector<LabeledDocument> train, val;
+  SplitFixture(cfg, &train, &val);
+
+  FinetuneRun serial_a(cfg, 31);
+  serial_a.Finetune(train, val);
+  FinetuneRun serial_b(cfg, 32);
+  serial_b.Finetune(train, val);
+  ASSERT_NE(serial_a.FlatParameters(), serial_b.FlatParameters());
+
+  // Models are built before the threads start: construction applies the
+  // runtime options (pool width) process-wide.
+  FinetuneRun concurrent_a(cfg, 31);
+  FinetuneRun concurrent_b(cfg, 32);
+  ASSERT_EQ(ThreadPool::Global().NumThreads(), 1);
+  std::thread thread_a([&] { concurrent_a.Finetune(train, val); });
+  std::thread thread_b([&] { concurrent_b.Finetune(train, val); });
+  thread_a.join();
+  thread_b.join();
+
+  EXPECT_EQ(concurrent_a.best, serial_a.best);
+  EXPECT_EQ(concurrent_b.best, serial_b.best);
+  EXPECT_EQ(concurrent_a.FlatParameters(), serial_a.FlatParameters());
+  EXPECT_EQ(concurrent_b.FlatParameters(), serial_b.FlatParameters());
 }
 
 TEST(MakeLabeledDocumentTest, LabelsAlignWithTruncation) {

@@ -1,20 +1,21 @@
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-#include <sys/types.h>
-
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/block_classifier.h"
 #include "core/inference_plan.h"
+#include "nn/serialize.h"
 #include "pipeline/pipeline.h"
+#include "rfp2_writer.h"
 
 namespace resuformer {
 namespace pipeline {
@@ -210,6 +211,23 @@ PipelineOptions TinyOptions() {
   return options;
 }
 
+/// One document through the single-request Parse.
+StructuredResume ParseOne(const ResuFormerPipeline& pipeline,
+                          const doc::Document& document) {
+  ParseRequest request;
+  request.document = document;
+  ParseResponse response = pipeline.Parse(request);
+  EXPECT_TRUE(response.ok()) << response.status.ToString();
+  return std::move(response.resume);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
 TEST(PipelineJsonTest, PrettyStringIsStrictJsonAndRoundTripsEscapes) {
   // Every class of character the escaper must handle: quotes, backslashes,
   // newlines, tabs, and a raw control byte. The old renderer spliced these
@@ -267,8 +285,7 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
   EXPECT_GT(report.block_val_accuracy, 0.3);  // far above the 1/17 chance
   EXPECT_GT(report.ner_val_f1, 0.1);
 
-  const StructuredResume parsed =
-      pipeline->Parse(corpus.test[0].document);
+  const StructuredResume parsed = ParseOne(*pipeline, corpus.test[0].document);
   EXPECT_FALSE(parsed.blocks.empty());
   // At least one entity should be extracted somewhere in the resume.
   int entities = 0;
@@ -283,13 +300,16 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
   EXPECT_TRUE(pretty_parser.Parse()) << pretty;
 
   // Save/Load round-trip: the reloaded pipeline must reproduce the same
-  // parse on the same document.
-  const std::string dir = ::testing::TempDir();
+  // parse on the same document. The checkpoint gets its own directory:
+  // other test binaries write files such as vocab.txt into TempDir() too.
+  const std::string dir = ::testing::TempDir() + "/pipeline_integration";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   ASSERT_TRUE(pipeline->Save(dir).ok());
   auto loaded = ResuFormerPipeline::Load(dir, TinyOptions());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const StructuredResume reparsed =
-      (*loaded)->Parse(corpus.test[0].document);
+      ParseOne(**loaded, corpus.test[0].document);
   ASSERT_EQ(reparsed.blocks.size(), parsed.blocks.size());
   for (size_t i = 0; i < parsed.blocks.size(); ++i) {
     EXPECT_EQ(reparsed.blocks[i].tag, parsed.blocks[i].tag);
@@ -305,8 +325,8 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
   auto planned = ResuFormerPipeline::Load(dir, plan_options);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   for (const auto& labeled : corpus.test) {
-    const StructuredResume dynamic_parse = (*loaded)->Parse(labeled.document);
-    const StructuredResume plan_parse = (*planned)->Parse(labeled.document);
+    const StructuredResume dynamic_parse = ParseOne(**loaded, labeled.document);
+    const StructuredResume plan_parse = ParseOne(**planned, labeled.document);
     ASSERT_EQ(plan_parse.blocks.size(), dynamic_parse.blocks.size());
     for (size_t i = 0; i < plan_parse.blocks.size(); ++i) {
       EXPECT_EQ(plan_parse.blocks[i].tag, dynamic_parse.blocks[i].tag);
@@ -367,8 +387,8 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
   // the int8 and fp32 parses, scored as F1 with fp32 as reference.
   int64_t matched = 0, int8_total = 0, fp32_total = 0;
   for (const auto& labeled : corpus.test) {
-    const StructuredResume fp = (*loaded)->Parse(labeled.document);
-    const StructuredResume qp = (*int8_pipe)->Parse(labeled.document);
+    const StructuredResume fp = ParseOne(**loaded, labeled.document);
+    const StructuredResume qp = ParseOne(**int8_pipe, labeled.document);
     std::vector<std::string> fp_entities, qp_entities;
     for (const StructuredBlock& b : fp.blocks) {
       for (const StructuredEntity& e : b.entities) {
@@ -408,34 +428,32 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
   std::cout << "[int8-gate] block accuracy fp32=" << fp32_acc
             << " int8=" << int8_acc << " entity_f1=" << entity_f1 << "\n";
 
-  // ----- RFP3 mmap'd checkpoints (PR 7) ------------------------------------
-  // Re-save with save_rfp3: the zero-copy mmap load must parse identically
-  // to the stream-loaded fp32 pipeline.
-  const std::string rfp3_dir = dir + "/rfp3_ckpt";
-  ::mkdir(rfp3_dir.c_str(), 0755);
-  PipelineOptions rfp3_options = TinyOptions();
-  rfp3_options.model.runtime.save_rfp3 = true;
-  auto rfp3_saver = ResuFormerPipeline::Load(dir, rfp3_options);
-  ASSERT_TRUE(rfp3_saver.ok()) << rfp3_saver.status().ToString();
-  ASSERT_TRUE((*rfp3_saver)->Save(rfp3_dir).ok());
-  auto mmap_pipe = ResuFormerPipeline::Load(rfp3_dir, TinyOptions());
-  ASSERT_TRUE(mmap_pipe.ok()) << mmap_pipe.status().ToString();
+  // ----- RFP2 checkpoints stay readable -----------------------------------
+  // Save wrote RFP3, so `loaded` runs on mmap'd weights. Rewrite both
+  // models as RFP2 (test-only writer): the stream-loaded pipeline must parse
+  // identically, and converting its files must reproduce Save's bytes.
+  const std::string rfp2_dir = dir + "/rfp2_ckpt";
+  std::filesystem::create_directories(rfp2_dir);
+  ASSERT_TRUE(pipeline->Save(rfp2_dir).ok());
+  const std::vector<std::pair<std::string, const nn::Module*>> models = {
+      {"block", &pipeline->block_classifier()},
+      {"ner", &pipeline->ner_model()}};
+  for (const auto& [name, model] : models) {
+    const std::string rfp2 = rfp2_dir + "/" + name + ".bin";
+    ASSERT_TRUE(resuformer::testing::WriteRfp2ForTest(*model, rfp2));
+    const std::string converted = rfp2_dir + "/" + name + ".rfp3";
+    ASSERT_TRUE(nn::ConvertRfp2ToRfp3(rfp2, converted).ok());
+    EXPECT_EQ(FileBytes(converted), FileBytes(dir + "/" + name + ".bin"))
+        << name;
+  }
+  auto rfp2_pipe = ResuFormerPipeline::Load(rfp2_dir, TinyOptions());
+  ASSERT_TRUE(rfp2_pipe.ok()) << rfp2_pipe.status().ToString();
   for (const auto& labeled : corpus.test) {
-    const StructuredResume stream_parse = (*loaded)->Parse(labeled.document);
-    const StructuredResume mmap_parse = (*mmap_pipe)->Parse(labeled.document);
-    ASSERT_EQ(mmap_parse.blocks.size(), stream_parse.blocks.size());
-    for (size_t i = 0; i < mmap_parse.blocks.size(); ++i) {
-      EXPECT_EQ(mmap_parse.blocks[i].tag, stream_parse.blocks[i].tag);
-      EXPECT_EQ(mmap_parse.blocks[i].lines, stream_parse.blocks[i].lines);
-      ASSERT_EQ(mmap_parse.blocks[i].entities.size(),
-                stream_parse.blocks[i].entities.size());
-      for (size_t e = 0; e < mmap_parse.blocks[i].entities.size(); ++e) {
-        EXPECT_EQ(mmap_parse.blocks[i].entities[e].tag,
-                  stream_parse.blocks[i].entities[e].tag);
-        EXPECT_EQ(mmap_parse.blocks[i].entities[e].text,
-                  stream_parse.blocks[i].entities[e].text);
-      }
-    }
+    const StructuredResume mmap_parse = ParseOne(**loaded, labeled.document);
+    const StructuredResume stream_parse =
+        ParseOne(**rfp2_pipe, labeled.document);
+    EXPECT_EQ(ResuFormerPipeline::ToPrettyString(stream_parse),
+              ResuFormerPipeline::ToPrettyString(mmap_parse));
   }
 
   // Save wrote an architecture manifest alongside the parameters.
@@ -470,8 +488,9 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
   auto legacy = ResuFormerPipeline::Load(dir, TinyOptions());
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   const StructuredResume legacy_parsed =
-      (*legacy)->Parse(corpus.test[0].document);
+      ParseOne(**legacy, corpus.test[0].document);
   EXPECT_EQ(legacy_parsed.blocks.size(), parsed.blocks.size());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PipelineIntegrationTest, LoadFromMissingDirectoryFails) {

@@ -18,6 +18,7 @@
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "nn/transformer.h"
+#include "rfp2_writer.h"
 #include "tensor/ops.h"
 
 namespace resuformer {
@@ -25,6 +26,7 @@ namespace nn {
 namespace {
 
 using resuformer::testing::GradCheck;
+using resuformer::testing::WriteRfp2ForTest;
 constexpr double kTol = 8e-2;
 
 TEST(ModuleTest, ParameterRegistryFlattensChildren) {
@@ -427,7 +429,7 @@ TEST(SerializeTest, LoadRejectsTransposedShapes) {
   SingleWeightModule b({5, 3});
   for (int i = 0; i < 15; ++i) a.weight_.data()[i] = static_cast<float>(i);
   const std::string path = ::testing::TempDir() + "/params_t.bin";
-  ASSERT_TRUE(SaveParameters(a, path).ok());
+  ASSERT_TRUE(WriteRfp2ForTest(a, path));
   const Status status = LoadParameters(&b, path);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("shape mismatch"), std::string::npos)
@@ -435,9 +437,10 @@ TEST(SerializeTest, LoadRejectsTransposedShapes) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeTest, ReadsLegacyRfp1Files) {
-  // Hand-write an RFP1 record (magic, count, flat size, raw floats) and
-  // check the loader still accepts it.
+TEST(SerializeTest, RejectsLegacyRfp1Files) {
+  // Hand-write an RFP1 record (magic, count, flat size, raw floats): the
+  // shape-less layout is refused with an error naming it, and the module
+  // keeps its values.
   SingleWeightModule m({2, 3});
   const std::string path = ::testing::TempDir() + "/params_v1.bin";
   {
@@ -451,10 +454,13 @@ TEST(SerializeTest, ReadsLegacyRfp1Files) {
     out.write(reinterpret_cast<const char*>(&n), sizeof(n));
     out.write(reinterpret_cast<const char*>(values), sizeof(values));
   }
-  ASSERT_TRUE(LoadParameters(&m, path).ok());
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(m.weight_.data()[i], static_cast<float>(i + 1));
-  }
+  const Status status = LoadParameters(&m, path);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.message();
+  EXPECT_NE(status.message().find("RFP1"), std::string::npos)
+      << status.message();
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(m.weight_.data()[i], 0.0f);
   std::remove(path.c_str());
 }
 
@@ -507,7 +513,7 @@ TEST(SerializeTest, Rfp3SaveMmapLoadRoundTrip) {
   Mlp a({3, 5, 2}, &rng);
   Mlp b({3, 5, 2}, &rng);
   const std::string path = ::testing::TempDir() + "/params_v3.bin";
-  ASSERT_TRUE(SaveParameters(a, path, CheckpointFormat::kRfp3).ok());
+  ASSERT_TRUE(SaveParameters(a, path).ok());
   ASSERT_TRUE(LoadParameters(&b, path).ok());
   ExpectParametersEqual(a, b);
 #if defined(__unix__) || defined(__APPLE__)
@@ -520,6 +526,27 @@ TEST(SerializeTest, Rfp3SaveMmapLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(SerializeTest, ResaveDoesNotChangeMappedWeights) {
+  // b maps the checkpoint; re-saving different weights to the same path
+  // must not reach b's pages. An in-place rewrite would (the mapping shares
+  // the file's page cache); write-then-rename leaves b on the old inode.
+  Rng rng(23);
+  Mlp a({3, 5, 2}, &rng);
+  Mlp b({3, 5, 2}, &rng);
+  Mlp c({3, 5, 2}, &rng);
+  Mlp loaded_again({3, 5, 2}, &rng);
+  const std::string path = ::testing::TempDir() + "/params_resave.bin";
+  ASSERT_TRUE(SaveParameters(a, path).ok());
+  ASSERT_TRUE(LoadParameters(&b, path).ok());
+  ASSERT_TRUE(SaveParameters(c, path).ok());
+  ExpectParametersEqual(a, b);
+  // The new file is complete and the temporary is gone.
+  ASSERT_TRUE(LoadParameters(&loaded_again, path).ok());
+  ExpectParametersEqual(c, loaded_again);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
 TEST(SerializeTest, Rfp3MmapTensorsAreCopyOnWrite) {
   // MAP_PRIVATE: an optimizer-style in-place write must not leak back into
   // the checkpoint file (a second load still sees the saved values).
@@ -528,7 +555,7 @@ TEST(SerializeTest, Rfp3MmapTensorsAreCopyOnWrite) {
   Mlp b({2, 4, 2}, &rng);
   Mlp c({2, 4, 2}, &rng);
   const std::string path = ::testing::TempDir() + "/params_cow.bin";
-  ASSERT_TRUE(SaveParameters(a, path, CheckpointFormat::kRfp3).ok());
+  ASSERT_TRUE(SaveParameters(a, path).ok());
   ASSERT_TRUE(LoadParameters(&b, path).ok());
   for (Tensor& p : b.Parameters()) {
     for (int64_t j = 0; j < p.size(); ++j) p.data()[j] = -123.0f;
@@ -542,7 +569,7 @@ TEST(SerializeTest, Rfp3RejectsMismatchedShapes) {
   SingleWeightModule a({3, 5});
   SingleWeightModule b({5, 3});
   const std::string path = ::testing::TempDir() + "/params_v3_t.bin";
-  ASSERT_TRUE(SaveParameters(a, path, CheckpointFormat::kRfp3).ok());
+  ASSERT_TRUE(SaveParameters(a, path).ok());
   const Status status = LoadParameters(&b, path);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("shape mismatch"), std::string::npos)
@@ -554,7 +581,7 @@ TEST(SerializeTest, Rfp3TruncatedPayloadIsFailedPrecondition) {
   SingleWeightModule a({8, 8});
   SingleWeightModule b({8, 8});
   const std::string path = ::testing::TempDir() + "/params_v3_trunc.bin";
-  ASSERT_TRUE(SaveParameters(a, path, CheckpointFormat::kRfp3).ok());
+  ASSERT_TRUE(SaveParameters(a, path).ok());
   // Chop the tail of the (64-byte-aligned) payload region.
   std::ifstream probe(path, std::ios::binary | std::ios::ate);
   const int64_t full = probe.tellg();
@@ -574,7 +601,7 @@ TEST(SerializeTest, Rfp2TruncatedPayloadNamesParameter) {
   Mlp a({3, 5, 2}, &rng);
   Mlp b({3, 5, 2}, &rng);
   const std::string path = ::testing::TempDir() + "/params_v2_trunc.bin";
-  ASSERT_TRUE(SaveParameters(a, path, CheckpointFormat::kRfp2).ok());
+  ASSERT_TRUE(WriteRfp2ForTest(a, path));
   std::ifstream probe(path, std::ios::binary | std::ios::ate);
   const int64_t full = probe.tellg();
   probe.close();
@@ -595,7 +622,7 @@ TEST(SerializeTest, Rfp2OversizedDimRejectedBeforeAllocation) {
   SingleWeightModule a({3, 5});
   SingleWeightModule b({3, 5});
   const std::string path = ::testing::TempDir() + "/params_v2_dim.bin";
-  ASSERT_TRUE(SaveParameters(a, path, CheckpointFormat::kRfp2).ok());
+  ASSERT_TRUE(WriteRfp2ForTest(a, path));
   const int32_t huge = 0x7ffffff0;
   // RFP2 layout: magic u32 + count u64, then record 0's rank u32 at 12 and
   // dims[0] at 16.
@@ -611,7 +638,7 @@ TEST(SerializeTest, Rfp2OversizedRankRejected) {
   SingleWeightModule a({3, 5});
   SingleWeightModule b({3, 5});
   const std::string path = ::testing::TempDir() + "/params_v2_rank.bin";
-  ASSERT_TRUE(SaveParameters(a, path, CheckpointFormat::kRfp2).ok());
+  ASSERT_TRUE(WriteRfp2ForTest(a, path));
   const uint32_t rank = 1u << 20;
   PatchFile(path, 12, &rank, sizeof(rank));
   const Status status = LoadParameters(&b, path);
@@ -627,7 +654,7 @@ TEST(SerializeTest, ConvertRfp2ToRfp3RoundTrip) {
   Mlp b({4, 6, 3}, &rng);
   const std::string v2 = ::testing::TempDir() + "/conv_v2.bin";
   const std::string v3 = ::testing::TempDir() + "/conv_v3.bin";
-  ASSERT_TRUE(SaveParameters(a, v2, CheckpointFormat::kRfp2).ok());
+  ASSERT_TRUE(WriteRfp2ForTest(a, v2));
   ASSERT_TRUE(ConvertRfp2ToRfp3(v2, v3).ok());
   ASSERT_TRUE(LoadParameters(&b, v3).ok());
   ExpectParametersEqual(a, b);
@@ -639,7 +666,7 @@ TEST(SerializeTest, ConvertValidatesSourceLikeLoad) {
   SingleWeightModule a({3, 5});
   const std::string v2 = ::testing::TempDir() + "/conv_bad_v2.bin";
   const std::string v3 = ::testing::TempDir() + "/conv_bad_v3.bin";
-  ASSERT_TRUE(SaveParameters(a, v2, CheckpointFormat::kRfp2).ok());
+  ASSERT_TRUE(WriteRfp2ForTest(a, v2));
   const int32_t huge = 0x7ffffff0;
   PatchFile(v2, 16, &huge, sizeof(huge));
   const Status status = ConvertRfp2ToRfp3(v2, v3);
@@ -659,6 +686,37 @@ TEST(SerializeTest, CopyParametersClones) {
   for (size_t i = 0; i < pa.size(); ++i) {
     EXPECT_EQ(pa[i].data()[0], pb[i].data()[0]);
   }
+}
+
+TEST(SerializeTest, CopyParametersRejectsTransposedShapes) {
+  // Six elements each, but [2,3] into [3,2] would silently transpose.
+  // CopyParameters is a ParameterSnapshot capture + restore, so this also
+  // pins the shape check of the training loops' snapshot restore.
+  SingleWeightModule a({2, 3});
+  SingleWeightModule b({3, 2});
+  for (int i = 0; i < 6; ++i) a.weight_.data()[i] = static_cast<float>(i + 1);
+  const Status status = CopyParameters(a, &b);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("shape mismatch"), std::string::npos)
+      << status.message();
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(b.weight_.data()[i], 0.0f);
+}
+
+TEST(ParameterSnapshotTest, RestoreWritesBackCapturedValues) {
+  // Capture copies the values: training on after the capture must not
+  // move the snapshot.
+  Rng rng(24);
+  Mlp m({3, 4, 2}, &rng);
+  Mlp original({3, 4, 2}, &rng);
+  ASSERT_TRUE(CopyParameters(m, &original).ok());
+  ParameterSnapshot snapshot;
+  snapshot.Capture(m.Parameters());
+  for (Tensor& p : m.Parameters()) {
+    for (int64_t j = 0; j < p.size(); ++j) p.data()[j] += 1.0f;
+  }
+  ASSERT_TRUE(snapshot.Restore(m.Parameters()).ok());
+  ExpectParametersEqual(m, original);
 }
 
 }  // namespace

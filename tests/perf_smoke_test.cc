@@ -1,7 +1,7 @@
 // Bounded-runtime smoke tests for the inference fast path (ctest label
 // perf_smoke): one batched-inference iteration over generated resumes,
 // asserting the fused attention path matches the composed reference within
-// 1e-5 and that ParseBatch reproduces serial Parse exactly.
+// 1e-5 and that the batched Parse reproduces serial Parse exactly.
 
 #include <gtest/gtest.h>
 
@@ -78,8 +78,8 @@ TEST(PerfSmokeTest, BatchedInferenceFusedMatchesReference) {
   }
 
   // One batched fused-inference iteration: documents fanned across the
-  // pool, per-worker NoGradGuard (the same mechanics as
-  // ResuFormerPipeline::ParseBatch).
+  // pool, per-worker NoGradGuard (the same mechanics as the batched
+  // ResuFormerPipeline::Parse).
   std::vector<Tensor> fused_out(docs.size());
   ThreadPool::Global().ParallelFor(
       static_cast<int64_t>(docs.size()),
@@ -127,48 +127,42 @@ TEST(PerfSmokeTest, ParseBatchMatchesSerialParse) {
       pipeline::ResuFormerPipeline::TrainFromCorpus(corpus, options, nullptr);
   ASSERT_NE(pipeline, nullptr);
 
-  std::vector<doc::Document> documents;
-  for (const resumegen::GeneratedResume& r : corpus.test) {
-    documents.push_back(r.document);
+  std::vector<pipeline::ParseRequest> requests(corpus.test.size());
+  for (size_t d = 0; d < requests.size(); ++d) {
+    requests[d].document = corpus.test[d].document;
   }
 
-  const std::vector<pipeline::StructuredResume> batched =
-      pipeline->ParseBatch(documents);
-  ASSERT_EQ(batched.size(), documents.size());
-  for (size_t d = 0; d < documents.size(); ++d) {
-    const pipeline::StructuredResume serial = pipeline->Parse(documents[d]);
-    ASSERT_EQ(batched[d].blocks.size(), serial.blocks.size()) << "doc " << d;
-    for (size_t b = 0; b < serial.blocks.size(); ++b) {
-      EXPECT_EQ(batched[d].blocks[b].tag, serial.blocks[b].tag);
-      EXPECT_EQ(batched[d].blocks[b].lines, serial.blocks[b].lines);
-      ASSERT_EQ(batched[d].blocks[b].entities.size(),
-                serial.blocks[b].entities.size());
-      for (size_t e = 0; e < serial.blocks[b].entities.size(); ++e) {
-        EXPECT_EQ(batched[d].blocks[b].entities[e].tag,
-                  serial.blocks[b].entities[e].tag);
-        EXPECT_EQ(batched[d].blocks[b].entities[e].text,
-                  serial.blocks[b].entities[e].text);
-      }
-    }
+  const std::vector<pipeline::ParseResponse> batched =
+      pipeline->Parse(requests);
+  ASSERT_EQ(batched.size(), requests.size());
+  for (size_t d = 0; d < requests.size(); ++d) {
+    const pipeline::StructuredResume serial =
+        pipeline->Parse(requests[d]).resume;
+    ASSERT_TRUE(batched[d].ok()) << batched[d].status.ToString();
+    EXPECT_EQ(pipeline::ResuFormerPipeline::ToPrettyString(batched[d].resume),
+              pipeline::ResuFormerPipeline::ToPrettyString(serial))
+        << "doc " << d;
   }
 
   // Inference must not leak arena buffers: everything acquired during the
   // batched parse has been returned (live model parameters are accounted in
   // the baseline taken before the parse would be — compare deltas instead).
   const int64_t outstanding_before = TensorArena::Global().stats().outstanding;
-  { pipeline->ParseBatch(documents); }
+  { (void)pipeline->Parse(requests); }
   EXPECT_EQ(TensorArena::Global().stats().outstanding, outstanding_before);
 
-  // ParseWithStats returns the same resume as Parse plus sane measurements,
-  // and enabling the full observability stack must not change results.
+  // A want_stats parse returns the same resume as a plain one plus sane
+  // measurements, and enabling the full observability stack must not
+  // change results.
   metrics::MetricsRegistry::Global().SetEnabled(true);
   trace::TraceRecorder::Global().SetEnabled(true);
-  const pipeline::ParseResult with_stats =
-      pipeline->ParseWithStats(documents[0]);
+  pipeline::ParseRequest stats_request = requests[0];
+  stats_request.want_stats = true;
+  const pipeline::ParseResponse with_stats = pipeline->Parse(stats_request);
   metrics::MetricsRegistry::Global().SetEnabled(false);
   trace::TraceRecorder::Global().SetEnabled(false);
   trace::TraceRecorder::Global().Reset();
-  const pipeline::StructuredResume plain = pipeline->Parse(documents[0]);
+  const pipeline::StructuredResume plain = pipeline->Parse(requests[0]).resume;
   ASSERT_EQ(with_stats.resume.blocks.size(), plain.blocks.size());
   EXPECT_EQ(with_stats.stats.num_blocks,
             static_cast<int>(plain.blocks.size()));

@@ -172,6 +172,27 @@ TEST(SelfDistillTest, FullLoopAtLeastMatchesTeacher) {
   EXPECT_GE(student.best_val_f1 + 1e-9, teacher.best_val_f1);
 }
 
+TEST(SelfDistillTest, ResultModelScoresTheReturnedBest) {
+  // Both the teacher-only and the full loop return the best-on-validation
+  // model, so re-scoring it on the validation set must give exactly the
+  // returned best F1.
+  auto& fx = GetFixture();
+  NerModelConfig cfg = TinyNerConfig(fx.tokenizer->vocab().size());
+  for (const bool self_distillation : {false, true}) {
+    SelfTrainOptions options;
+    options.teacher_epochs = 4;
+    options.iterations = 2;
+    options.self_distillation = self_distillation;
+    Rng rng(6);
+    SelfDistillTrainer trainer(cfg, options, fx.tokenizer.get(), &rng);
+    const SelfTrainResult result = trainer.Train(fx.data.train, fx.data.val);
+    ASSERT_NE(result.model, nullptr);
+    EXPECT_EQ(trainer.EvaluateSpanF1(*result.model, fx.data.val),
+              result.best_val_f1)
+        << "self_distillation=" << self_distillation;
+  }
+}
+
 TEST(SelfDistillTest, HardLabelVariantRuns) {
   auto& fx = GetFixture();
   NerModelConfig cfg = TinyNerConfig(fx.tokenizer->vocab().size());

@@ -582,14 +582,18 @@ TEST(ParseServerTest, ServePathMatchesDirectBatchParse) {
   for (const doc::Document& document : env.documents) {
     futures.push_back(server.Submit(RequestFor(document)));
   }
-  const std::vector<pipeline::StructuredResume> direct =
-      env.pipeline->ParseBatch(env.documents);
+  std::vector<ParseRequest> direct_requests;
+  for (const doc::Document& document : env.documents) {
+    direct_requests.push_back(RequestFor(document));
+  }
+  const std::vector<ParseResponse> direct =
+      env.pipeline->Parse(direct_requests);
   ASSERT_EQ(direct.size(), futures.size());
   for (size_t i = 0; i < futures.size(); ++i) {
     const ParseResponse response = futures[i].get();
     ASSERT_TRUE(response.ok()) << response.status.ToString();
     EXPECT_EQ(ResuFormerPipeline::ToPrettyString(response.resume),
-              ResuFormerPipeline::ToPrettyString(direct[i]))
+              ResuFormerPipeline::ToPrettyString(direct[i].resume))
         << "serve-path parse diverged for document " << i;
   }
   server.Shutdown();

@@ -305,7 +305,7 @@ void ExpectSameResume(const pipeline::StructuredResume& got,
   }
 }
 
-TEST(StressPipeline, ConcurrentParseBatchWithStatsMatchesSerialParse) {
+TEST(StressPipeline, ConcurrentBatchedParseMatchesSerialParse) {
   resumegen::CorpusConfig ccfg;
   ccfg.pretrain_docs = 4;
   ccfg.train_docs = 6;
@@ -319,17 +319,22 @@ TEST(StressPipeline, ConcurrentParseBatchWithStatsMatchesSerialParse) {
                                                           &report);
   ASSERT_NE(pl, nullptr);
 
-  std::vector<doc::Document> documents;
-  for (const auto& labeled : corpus.test) documents.push_back(labeled.document);
+  std::vector<pipeline::ParseRequest> requests(corpus.test.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].document = corpus.test[i].document;
+    requests[i].want_stats = true;
+  }
 
   // Serial ground truth with a serial pool. The first pass warms the arena;
   // the second records per-document stats in steady state.
   ThreadPool::Global().SetNumThreads(1);
   std::vector<pipeline::StructuredResume> expected;
-  for (const doc::Document& d : documents) expected.push_back(pl->Parse(d));
-  std::vector<pipeline::ParseResult> serial_stats;
-  for (const doc::Document& d : documents) {
-    serial_stats.push_back(pl->ParseWithStats(d));
+  for (const pipeline::ParseRequest& r : requests) {
+    expected.push_back(pl->Parse(r).resume);
+  }
+  std::vector<pipeline::ParseResponse> serial_stats;
+  for (const pipeline::ParseRequest& r : requests) {
+    serial_stats.push_back(pl->Parse(r));
   }
 
   // Per-document arena_hit_rate diffs *thread-local* counters, so a
@@ -348,7 +353,7 @@ TEST(StressPipeline, ConcurrentParseBatchWithStatsMatchesSerialParse) {
         buf.clear();
       }
     });
-    const pipeline::ParseResult noisy = pl->ParseWithStats(documents[0]);
+    const pipeline::ParseResponse noisy = pl->Parse(requests[0]);
     stop.store(true);
     noise.join();
     ExpectSameResume(noisy.resume, expected[0]);
@@ -360,19 +365,18 @@ TEST(StressPipeline, ConcurrentParseBatchWithStatsMatchesSerialParse) {
   // Two external request threads batch-parse concurrently while the pool
   // fans documents out; one claims the pool, the other degrades to inline.
   ThreadPool::Global().SetNumThreads(4);
-  constexpr int kRequests = 2;
-  std::vector<std::vector<pipeline::ParseResult>> results(kRequests);
-  std::vector<std::thread> requests;
-  requests.reserve(kRequests);
-  for (int r = 0; r < kRequests; ++r) {
-    requests.emplace_back(
-        [&, r]() { results[r] = pl->ParseBatchWithStats(documents); });
+  constexpr int kCallers = 2;
+  std::vector<std::vector<pipeline::ParseResponse>> results(kCallers);
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int r = 0; r < kCallers; ++r) {
+    callers.emplace_back([&, r]() { results[r] = pl->Parse(requests); });
   }
-  for (std::thread& t : requests) t.join();
+  for (std::thread& t : callers) t.join();
   ThreadPool::Global().SetNumThreads(1);
 
-  for (int r = 0; r < kRequests; ++r) {
-    ASSERT_EQ(results[r].size(), documents.size()) << "request " << r;
+  for (int r = 0; r < kCallers; ++r) {
+    ASSERT_EQ(results[r].size(), requests.size()) << "caller " << r;
     for (size_t i = 0; i < results[r].size(); ++i) {
       ExpectSameResume(results[r][i].resume, expected[i]);
       EXPECT_EQ(results[r][i].stats.num_blocks,

@@ -859,6 +859,29 @@ TEST(LinterTest, SuppressionsApplyToLineNextLineAndFile) {
   EXPECT_EQ(naked, 1);
 }
 
+TEST(LinterTest, FixedTmpPathFiresOnlyUnderSrc) {
+  TempTree tree;
+  const std::string body =
+      "// A comment naming /tmp/x.bin never fires.\n"
+      "const char* kSnapshot = \"/tmp/rf_best.bin\";\n"
+      "const char* kRaw = R\"(/tmp/raw.bin)\";\n"
+      "const char* kDefault = \"/tmp\";\n"
+      "const char* kOther = \"/var/tmp/x.bin\";\n";
+  const fs::path src = tree.Write("src/core/a.cc", body);
+  const fs::path test = tree.Write("tests/a_test.cc", body);
+  Linter linter;
+  linter.AddFile(src, "src/core/a.cc");
+  linter.AddFile(test, "tests/a_test.cc");
+  linter.Run();
+  std::vector<int> lines;
+  for (const Violation& v : linter.violations()) {
+    if (v.rule != "fixed-tmp-path") continue;
+    EXPECT_EQ(v.file, "src/core/a.cc");
+    lines.push_back(v.line);
+  }
+  EXPECT_EQ(lines, (std::vector<int>{2, 3}));
+}
+
 TEST(LinterTest, ExpectationsSumAcrossFixtureFiles) {
   TempTree tree;
   const fs::path a = tree.Write(

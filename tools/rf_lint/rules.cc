@@ -118,8 +118,8 @@ const std::vector<std::string>& Linter::AllRules() {
       "volatile-qualifier",     "include-guard",
       "trace-span-in-parallel-for", "json-string-concat",
       "mmap-payload-cast",      "metric-name-literal",
-      "lock-order-cycle",       "blocking-reachable-under-lock",
-      "alloc-in-parallel-for"};
+      "fixed-tmp-path",         "lock-order-cycle",
+      "blocking-reachable-under-lock", "alloc-in-parallel-for"};
   return kRules;
 }
 
@@ -172,6 +172,7 @@ void Linter::Run() {
     LintJsonStringConcat(f);
     LintMmapPayloadCast(f);
     LintMetricNameLiteral(f);
+    LintFixedTmpPath(f);
   }
   RunGraphFamilies();
 }
@@ -557,6 +558,21 @@ void Linter::LintMetricNameLiteral(const LintedFile& f) {
                  "the instrument up once from a literal and cache the "
                  "stable pointer");
     }
+  }
+}
+
+void Linter::LintFixedTmpPath(const LintedFile& f) {
+  if (f.rel.rfind("src/", 0) != 0) return;
+  for (const Token& t : f.lex.tokens) {
+    if (t.kind != TokKind::kString) continue;
+    const std::string inner = StringInner(t);
+    if (inner.rfind("/tmp/", 0) != 0) continue;
+    Report(f, t.line, "fixed-tmp-path",
+           "string literal '" + inner +
+               "' is a fixed /tmp path: every process and thread running "
+               "this code shares it, so concurrent runs overwrite each "
+               "other's files; keep scratch state in memory or take the "
+               "path from the caller");
   }
 }
 

@@ -18,6 +18,9 @@
 //   mmap-payload-cast       reinterpret_cast to non-byte pointer types only
 //                           in nn/serialize.cc and tensor/quant.cc.
 //   metric-name-literal     Metric lookups pass one lowercase dotted literal.
+//   fixed-tmp-path          No string literal starting with "/tmp/" under
+//                           src/: a fixed scratch path is shared by every
+//                           process and thread that runs the code.
 //   lock-order-cycle        (graph) cycle in the mutex acquisition order.
 //   blocking-reachable-under-lock  (graph) call chain from a critical
 //                           section to a blocking syscall, chain printed.
@@ -94,6 +97,7 @@ class Linter {
   void LintJsonStringConcat(const LintedFile& f);
   void LintMmapPayloadCast(const LintedFile& f);
   void LintMetricNameLiteral(const LintedFile& f);
+  void LintFixedTmpPath(const LintedFile& f);
   void RunGraphFamilies();
 
   std::vector<LintedFile> files_;

@@ -23,7 +23,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/block_classifier.h"
-#include "core/inference_plan.h"
 #include "crf/linear_crf.h"
 #include "doc/sentence_assembler.h"
 #include "nn/serialize.h"
@@ -408,12 +407,12 @@ void BM_ServerThroughput(benchmark::State& state) {
 BENCHMARK(BM_ServerThroughput)->Arg(1)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// --- static inference plan: trace-once replay vs the dynamic op graph ---
+// --- block emissions: sentence-plan replay + dynamic document tower ---
 
-// Table-scale emissions (the Env config): the plan's win is largest here,
-// where per-op dispatch (node construction, shape inference, arena
-// round-trips) dominates the small kernels.
-void BM_EmissionsDynamic(benchmark::State& state) {
+// Inference emissions (eval mode under NoGradGuard, so the sentence tower
+// replays its cached plans; the first iteration builds them) at table
+// scale (the Env config).
+void BM_Emissions(benchmark::State& state) {
   Env& env = GetEnv();
   ThreadPool::Global().SetNumThreads(1);
   NoGradGuard guard;
@@ -421,28 +420,12 @@ void BM_EmissionsDynamic(benchmark::State& state) {
     benchmark::DoNotOptimize(env.classifier->Emissions(env.encoded, nullptr));
   }
 }
-BENCHMARK(BM_EmissionsDynamic)->Unit(benchmark::kMicrosecond);
-
-void BM_EmissionsPlanReplay(benchmark::State& state) {
-  Env& env = GetEnv();
-  ThreadPool::Global().SetNumThreads(1);
-  core::InferencePlanner planner(env.classifier.get());
-  std::vector<float> emissions;
-  if (!planner.EmissionsViaPlan(env.encoded, &emissions)) {
-    state.SkipWithError("plan build failed");
-    return;
-  }
-  for (auto _ : state) {
-    planner.EmissionsViaPlan(env.encoded, &emissions);
-    benchmark::DoNotOptimize(emissions.data());
-  }
-}
-BENCHMARK(BM_EmissionsPlanReplay)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Emissions)->Unit(benchmark::kMicrosecond);
 
 // Paper-dimension document stage: 350 sentence positions through the
 // document Transformer at D=768/H=12 (Section V scale; ffn and the BiLSTM
 // width are kept moderate so an iteration stays affordable). Sentences are
-// short so the run is dominated by the statically-planned document stage.
+// short so the run is dominated by the document stage.
 struct PlanPaperEnv {
   PlanPaperEnv() {
     Env& env = GetEnv();
@@ -476,7 +459,7 @@ PlanPaperEnv& GetPlanPaperEnv() {
   return *env;
 }
 
-void BM_EmissionsDynamicPaperDims(benchmark::State& state) {
+void BM_EmissionsPaperDims(benchmark::State& state) {
   PlanPaperEnv& env = GetPlanPaperEnv();
   ThreadPool::Global().SetNumThreads(static_cast<int>(state.range(0)));
   NoGradGuard guard;
@@ -486,32 +469,13 @@ void BM_EmissionsDynamicPaperDims(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(state.range(0));
   ThreadPool::Global().SetNumThreads(1);
 }
-BENCHMARK(BM_EmissionsDynamicPaperDims)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EmissionsPlanReplayPaperDims(benchmark::State& state) {
-  PlanPaperEnv& env = GetPlanPaperEnv();
-  ThreadPool::Global().SetNumThreads(static_cast<int>(state.range(0)));
-  core::InferencePlanner planner(env.classifier.get());
-  std::vector<float> emissions;
-  if (!planner.EmissionsViaPlan(env.encoded, &emissions)) {
-    state.SkipWithError("plan build failed");
-    return;
-  }
-  for (auto _ : state) {
-    planner.EmissionsViaPlan(env.encoded, &emissions);
-    benchmark::DoNotOptimize(emissions.data());
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  ThreadPool::Global().SetNumThreads(1);
-}
-BENCHMARK(BM_EmissionsPlanReplayPaperDims)->Arg(1)->Arg(4)
+BENCHMARK(BM_EmissionsPaperDims)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // --- int8 quantized inference (PR 7) --------------------------------------
 
 /// Same model/weights as PlanPaperEnv (same config + seed) but with
-/// runtime.use_int8, so the planner rewrites constant-weight GEMMs to the
+/// runtime.use_int8, so the sentence plans' constant-weight GEMMs run the
 /// quantized kernels. Kept separate so the fp32 env's plans stay fp32.
 struct Int8PaperEnv {
   Int8PaperEnv() {
@@ -531,24 +495,18 @@ Int8PaperEnv& GetInt8PaperEnv() {
   return *env;
 }
 
-void BM_EmissionsPlanReplayInt8PaperDims(benchmark::State& state) {
+void BM_EmissionsInt8PaperDims(benchmark::State& state) {
   Int8PaperEnv& env = GetInt8PaperEnv();
   const core::EncodedDocument& encoded = GetPlanPaperEnv().encoded;
   ThreadPool::Global().SetNumThreads(static_cast<int>(state.range(0)));
-  core::InferencePlanner planner(env.classifier.get());
-  std::vector<float> emissions;
-  if (!planner.EmissionsViaPlan(encoded, &emissions)) {
-    state.SkipWithError("int8 plan build failed");
-    return;
-  }
+  NoGradGuard guard;
   for (auto _ : state) {
-    planner.EmissionsViaPlan(encoded, &emissions);
-    benchmark::DoNotOptimize(emissions.data());
+    benchmark::DoNotOptimize(env.classifier->Emissions(encoded, nullptr));
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
   ThreadPool::Global().SetNumThreads(1);
 }
-BENCHMARK(BM_EmissionsPlanReplayInt8PaperDims)->Arg(1)->Arg(4)
+BENCHMARK(BM_EmissionsInt8PaperDims)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // Kernel-level fp32 vs int8 at the paper's document-attention GEMM shape:

@@ -37,8 +37,8 @@
 //   --trace-out FILE     enable tracing, write a chrome://tracing JSON file
 //   --metrics-out FILE   enable timed metrics, write a metrics snapshot JSON
 //   --threads N          thread-pool width (0 = auto)
-//   --use-plan           static inference-plan replay (RESUFORMER_USE_PLAN)
-//   --use-int8           int8 GEMMs inside plan replay (RESUFORMER_USE_INT8)
+//   --use-int8           int8 GEMMs in sentence-plan replay
+//                        (RESUFORMER_USE_INT8)
 // With no subcommand, train-and-parse runs — `resuformer_cli --trace-out
 // t.json` captures a trace of the full pipeline.
 
@@ -105,7 +105,7 @@ struct CommandSpec {
 const std::vector<FlagSpec>& GlobalFlags() {
   static const std::vector<FlagSpec> kGlobal = {
       {"--trace-out", true}, {"--metrics-out", true}, {"--threads", true},
-      {"--use-plan", false}, {"--use-int8", false},
+      {"--use-int8", false},
   };
   return kGlobal;
 }
@@ -154,7 +154,7 @@ int Usage() {
   std::fprintf(stderr,
                "\nglobal flags: --trace-out FILE  --metrics-out FILE"
                "  --threads N\n"
-               "              --use-plan  --use-int8\n");
+               "              --use-int8\n");
   return 2;
 }
 
@@ -789,7 +789,6 @@ int Run(int argc, char** argv) {
   g_runtime.threads =
       static_cast<int>(IntFlag(args, "--threads", g_runtime.threads, &ok));
   if (!ok) return 2;
-  if (HasFlag(args, "--use-plan")) g_runtime.use_inference_plan = true;
   if (HasFlag(args, "--use-int8")) g_runtime.use_int8 = true;
   core::ApplyRuntimeOptions(g_runtime);
 

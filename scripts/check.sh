@@ -9,7 +9,8 @@
 #   scripts/check.sh --full   tier-1, then the ASan+UBSan and TSan suites
 #                             (separate build trees via CMakePresets.json;
 #                             TSan also runs the `stress` label and reruns
-#                             the `serve` and `observability` labels)
+#                             the `serve`, `observability` and `plan`
+#                             labels)
 #   scripts/check.sh --lint-only
 #                             fast path: build only rf_lint, run it over the
 #                             tree plus its selftest, then the enforced
@@ -75,11 +76,13 @@ if [[ "${full}" == "1" ]]; then
   # Cross-request batching is the most concurrency-dense code in the repo
   # (admission queue + worker pool + per-connection handler threads), and
   # the observability plane (lock-free metrics, rolling histograms, tracer
-  # rings) is read concurrently by the kStats admin path; rerun both suites
-  # under TSan explicitly so they cannot silently fall out of the stress
-  # label.
-  echo "==> [tsan] serve+observability focused rerun"
-  ctest --preset tsan -L 'serve|observability' --output-on-failure -j "${jobs}"
+  # rings) is read concurrently by the kStats admin path, and every
+  # concurrent parse shares the encoder's sentence-plan cache; rerun all
+  # three suites under TSan explicitly so they cannot silently fall out of
+  # the stress label.
+  echo "==> [tsan] serve+observability+plan focused rerun"
+  ctest --preset tsan -L 'serve|observability|plan' --output-on-failure \
+    -j "${jobs}"
 fi
 
 echo "==> all checks passed"

@@ -81,8 +81,6 @@ RuntimeOptions RuntimeOptions::FromEnv(Status* strict_error) {
       ParseBoolEnv("RESUFORMER_FUSED_ATTENTION", opts.use_fused_attention);
   opts.use_tensor_arena =
       ParseBoolEnv("RESUFORMER_TENSOR_ARENA", opts.use_tensor_arena);
-  opts.use_inference_plan =
-      ParseBoolEnv("RESUFORMER_USE_PLAN", opts.use_inference_plan);
   opts.use_int8 = ParseBoolEnv("RESUFORMER_USE_INT8", opts.use_int8);
   opts.enable_metrics =
       ParseBoolEnv("RESUFORMER_METRICS", opts.enable_metrics);

@@ -45,9 +45,9 @@ class BlockClassifier : public nn::Module {
   HierarchicalEncoder* encoder() { return encoder_.get(); }
   const HierarchicalEncoder* encoder() const { return encoder_.get(); }
 
-  // Task-head access for the inference planner, which traces the
-  // encoder -> BiLSTM -> projection chain and Viterbi-decodes the replayed
-  // emissions through the same CRF.
+  // Task-head access for callers that run the Emissions chain stage by
+  // stage (encoder -> BiLSTM -> projection -> CRF Viterbi), such as the
+  // benchmark's per-stage timing.
   const nn::BiLstm* bilstm() const { return bilstm_.get(); }
   const nn::Mlp* projection() const { return projection_.get(); }
   const crf::LinearCrf* crf() const { return crf_.get(); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/trace.h"
 #include "doc/geometry.h"
 #include "tensor/ops.h"
@@ -11,12 +12,38 @@
 namespace resuformer {
 namespace core {
 
-int LayoutBucketIndex(int coord, int buckets) {
-  const int b = coord * buckets / 1001;
-  return std::clamp(b, 0, buckets - 1);
+namespace {
+
+struct PlanMetrics {
+  metrics::Counter* cache_hits;
+  metrics::Counter* cache_misses;
+  metrics::Counter* builds;
+  metrics::Counter* fallbacks;
+  metrics::Histogram* replay_us;
+};
+
+PlanMetrics& Metrics() {
+  static PlanMetrics m = [] {
+    auto& reg = metrics::MetricsRegistry::Global();
+    return PlanMetrics{reg.GetCounter("plan.cache_hits"),
+                       reg.GetCounter("plan.cache_misses"),
+                       reg.GetCounter("plan.builds"),
+                       reg.GetCounter("plan.fallbacks"),
+                       reg.GetHistogram("plan.replay_us")};
+  }();
+  return m;
 }
 
-namespace {
+/// Bucket ids of layout feature `feature` across `tuples`: [0, 1000]
+/// coordinates into [0, buckets). The layout embedding gathers these, and
+/// a sentence-plan replay binds them.
+void FillLayoutIds(const std::vector<LayoutTuple>& tuples, int feature,
+                   int buckets, std::vector<int>* ids) {
+  ids->resize(tuples.size());
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    (*ids)[i] = std::clamp(tuples[i][feature] * buckets / 1001, 0, buckets - 1);
+  }
+}
 
 LayoutTuple MakeLayoutTuple(const doc::BBox& box, float page_width,
                             float page_height, int page, int num_pages) {
@@ -118,12 +145,10 @@ Tensor HierarchicalEncoder::LayoutEmbedding(
     const std::vector<LayoutTuple>& tuples) const {
   // Sum of the seven per-feature embeddings (Eq. 2's concatenation followed
   // by projection, fused into additive tables of full width).
-  std::vector<int> ids(tuples.size());
+  std::vector<int> ids;
   Tensor total;
   for (int f = 0; f < 7; ++f) {
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      ids[i] = LayoutBucketIndex(tuples[i][f], config_.layout_buckets);
-    }
+    FillLayoutIds(tuples, f, config_.layout_buckets, &ids);
     // Capture point: layout bucket ids vary per document, so a plan trace
     // rebinds this gather under the per-feature role.
     plan::AnnotateNextGather(plan::kRoleLayout0 + f);
@@ -180,17 +205,92 @@ Tensor HierarchicalEncoder::BuildVisualTensor(
   return visual;
 }
 
+std::shared_ptr<const plan::Plan> HierarchicalEncoder::SentencePlanFor(
+    const EncodedSentence& sentence, float* row, bool* row_done) const {
+  *row_done = false;
+  const int t_len = static_cast<int>(sentence.token_ids.size());
+  {
+    std::lock_guard<std::mutex> lock(plan_mu_);
+    auto it = sentence_plans_.find(t_len);
+    if (it != sentence_plans_.end()) {
+      Metrics().cache_hits->Increment();
+      return it->second;
+    }
+  }
+  Metrics().cache_misses->Increment();
+  TRACE_SPAN("plan.build");
+  std::shared_ptr<const plan::Plan> built;
+  {
+    plan::Recorder recorder;
+    if (config_.runtime.use_int8) recorder.EnableInt8();
+    const Tensor traced =
+        SentenceRepresentation(sentence, sentence.token_ids, nullptr);
+    built = recorder.Finish(traced);
+    if (built != nullptr && !config_.runtime.use_int8) {
+      std::copy(traced.data(), traced.data() + traced.size(), row);
+      *row_done = true;
+    }
+  }
+  if (built != nullptr) Metrics().builds->Increment();
+  // A failed build is cached as null, so a bucket the recorder cannot
+  // cover pays the trace once, not per document.
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  auto [it, inserted] = sentence_plans_.emplace(t_len, built);
+  return inserted ? built : it->second;  // first build wins
+}
+
+Tensor HierarchicalEncoder::ReplaySentences(
+    const EncodedDocument& document) const {
+  TRACE_SPAN("plan.replay");
+  const int m = static_cast<int>(document.sentences.size());
+  const int d = config_.hidden;
+  Tensor h = Tensor::Zeros({m, d});
+  std::vector<int> layout_ids[plan::kNumLayoutFeatures];
+  plan::BindingSet bindings;
+  for (int f = 0; f < plan::kNumLayoutFeatures; ++f) {
+    bindings.indices[plan::kRoleLayout0 + f] = &layout_ids[f];
+  }
+  for (int i = 0; i < m; ++i) {
+    const EncodedSentence& sentence = document.sentences[i];
+    float* row = h.data() + static_cast<int64_t>(i) * d;
+    bool row_done = false;
+    std::shared_ptr<const plan::Plan> sentence_plan =
+        SentencePlanFor(sentence, row, &row_done);
+    if (sentence_plan == nullptr) return Tensor();
+    if (row_done) continue;
+    bindings.indices[plan::kRoleTokenIds] = &sentence.token_ids;
+    for (int f = 0; f < plan::kNumLayoutFeatures; ++f) {
+      FillLayoutIds(sentence.token_layout, f, config_.layout_buckets,
+                    &layout_ids[f]);
+    }
+    metrics::ScopedTimerUs timer(Metrics().replay_us);
+    if (!plan::PlanExecutor::Run(*sentence_plan, bindings, row)) {
+      return Tensor();
+    }
+  }
+  return h;
+}
+
 Tensor HierarchicalEncoder::EncodeSentences(const EncodedDocument& document,
                                             Rng* dropout_rng) const {
   TRACE_SPAN("encoder.sentences");
   RF_CHECK(!document.sentences.empty());
-  std::vector<Tensor> reps;
-  reps.reserve(document.sentences.size());
-  for (const EncodedSentence& sentence : document.sentences) {
-    reps.push_back(
-        SentenceRepresentation(sentence, sentence.token_ids, dropout_rng));
+  // Inference replays; training, gradient-enabled forwards and documents
+  // the plans cannot cover run the dynamic ops.
+  Tensor h;  // [m, hidden]
+  if (!training() && !NoGradGuard::GradEnabled()) {
+    h = ReplaySentences(document);
+    if (!h.defined()) Metrics().fallbacks->Increment();
   }
-  Tensor h = ops::ConcatRows(reps);  // [m, hidden]
+  if (!h.defined()) {
+    std::vector<Tensor> reps;
+    reps.reserve(document.sentences.size());
+    for (const EncodedSentence& sentence : document.sentences) {
+      reps.push_back(
+          SentenceRepresentation(sentence, sentence.token_ids, dropout_rng));
+    }
+    h = ops::ConcatRows(reps);
+  }
   // Two-modal fusion h* = proj([h; v]).
   return FuseVisual(h, BuildVisualTensor(document));
 }
@@ -216,6 +316,12 @@ Tensor HierarchicalEncoder::Encode(const EncodedDocument& document,
                                    Rng* dropout_rng) const {
   return EncodeDocument(EncodeSentences(document, dropout_rng), document,
                         dropout_rng);
+}
+
+void HierarchicalEncoder::SetTraining(bool training) {
+  nn::Module::SetTraining(training);
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  sentence_plans_.clear();
 }
 
 Tensor HierarchicalEncoder::VocabLogits(const Tensor& token_states) const {

@@ -2,7 +2,9 @@
 #define RESUFORMER_CORE_HIERARCHICAL_ENCODER_H_
 
 #include <array>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/config.h"
@@ -15,6 +17,9 @@
 #include "text/wordpiece.h"
 
 namespace resuformer {
+namespace plan {
+struct Plan;
+}  // namespace plan
 namespace core {
 
 /// Seven-tuple spatial layout of Eq. 2: (xmin, ymin, xmax, ymax, width,
@@ -44,11 +49,6 @@ EncodedDocument EncodeForModel(const doc::Document& document,
                                const text::WordPieceTokenizer& tokenizer,
                                const ResuFormerConfig& config);
 
-/// Bucketizes a [0, 1000] layout coordinate into [0, buckets). Exposed so
-/// the inference planner computes the exact ids the encoder's layout
-/// embedding gathers would (core/inference_plan.cc binds them per replay).
-int LayoutBucketIndex(int coord, int buckets);
-
 /// \brief The hierarchical multi-modal Transformer encoder (Figure 2).
 ///
 /// Sentence level: token embedding + 1-D position + segment + 2-D layout
@@ -57,12 +57,23 @@ int LayoutBucketIndex(int coord, int buckets);
 /// features v_j ("h* = [h; v]" projected back to hidden), plus sentence
 /// layout / position embeddings -> M-layer Transformer -> contextual states
 /// H_d. The MLLM head ties into the vocabulary projection.
+///
+/// Inference replays the sentence tower. In eval mode under NoGradGuard,
+/// EncodeSentences runs each sentence through a static plan (tensor/plan.h)
+/// traced once per token count and cached here: first build wins, a failed
+/// build is cached as null, and any sentence without a usable plan sends
+/// the whole document down the dynamic ops (`plan.fallbacks`). Replay is
+/// bit-identical to the dynamic forward at a fixed pool width; with
+/// `runtime.use_int8` the plans' constant-weight GEMMs run in int8. The
+/// document tower always runs the dynamic ops. The cache is safe to read
+/// from any number of threads; SetTraining drops it.
 class HierarchicalEncoder : public nn::Module {
  public:
   HierarchicalEncoder(const ResuFormerConfig& config, Rng* rng);
 
   /// Sentence-level pass over every sentence: returns the fused two-modal
-  /// sentence representations h* [m, hidden].
+  /// sentence representations h* [m, hidden]. Replays cached sentence
+  /// plans in eval mode under NoGradGuard (see the class comment).
   Tensor EncodeSentences(const EncodedDocument& document,
                          Rng* dropout_rng) const;
 
@@ -82,8 +93,8 @@ class HierarchicalEncoder : public nn::Module {
                              Rng* dropout_rng) const;
 
   /// The full sentence-level tower for one sentence: token states -> [CLS]
-  /// state -> dense -> L2 norm, shaped [1, hidden]. This is the unit the
-  /// inference planner traces once per token-count bucket.
+  /// state -> dense -> L2 norm, shaped [1, hidden]. This is the unit
+  /// EncodeSentences traces into a plan once per token count.
   Tensor SentenceRepresentation(const EncodedSentence& sentence,
                                 const std::vector<int>& ids,
                                 Rng* dropout_rng) const;
@@ -106,8 +117,24 @@ class HierarchicalEncoder : public nn::Module {
 
   const ResuFormerConfig& config() const { return config_; }
 
+  /// Also drops every cached plan. fp32 plans read the parameters' current
+  /// storage, but int8 plans hold weights quantized when they were built,
+  /// and weights change around mode switches (optimizer steps, snapshot
+  /// restores, checkpoint loads).
+  void SetTraining(bool training) override;
+
  private:
   Tensor LayoutEmbedding(const std::vector<LayoutTuple>& tuples) const;
+
+  /// Sentence representations [m, hidden] replayed from the plan cache, or
+  /// an undefined tensor when some sentence has no usable plan.
+  Tensor ReplaySentences(const EncodedDocument& document) const;
+  /// Get-or-build the plan for sentences of `sentence`'s token count. A
+  /// build traces `sentence` itself; for fp32 plans that traced forward
+  /// equals the replay, so its output is written to `row` and `*row_done`
+  /// is set (int8 plans quantize, so `sentence` must still replay).
+  std::shared_ptr<const plan::Plan> SentencePlanFor(
+      const EncodedSentence& sentence, float* row, bool* row_done) const;
 
   ResuFormerConfig config_;
   // Sentence level.
@@ -123,6 +150,10 @@ class HierarchicalEncoder : public nn::Module {
   std::unique_ptr<nn::Embedding> sentence_position_embedding_;
   std::unique_ptr<nn::TransformerEncoder> document_encoder_;
   Tensor mask_vector_;
+  // Sentence plans by token count; the mutex covers lookup and insert only,
+  // plans are immutable once built.
+  mutable std::mutex plan_mu_;
+  mutable std::map<int, std::shared_ptr<const plan::Plan>> sentence_plans_;
 };
 
 }  // namespace core

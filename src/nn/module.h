@@ -34,7 +34,9 @@ class Module {
   void ZeroGrad();
 
   /// Training mode toggles dropout and similar stochastic behaviour.
-  void SetTraining(bool training);
+  /// Recurses into the children; a module caching state derived from its
+  /// weights overrides it to drop that state.
+  virtual void SetTraining(bool training);
   bool training() const { return training_; }
 
  protected:

@@ -130,14 +130,6 @@ std::unique_ptr<ResuFormerPipeline> ResuFormerPipeline::TrainFromCorpus(
       trainer.Train(ner_data.train, ner_data.val);
   pipeline->ner_model_ = std::move(result.model);
 
-  // use_int8 implies plan routing: the int8 kernels only exist inside plan
-  // replay, and unplannable documents still fall back to dynamic fp32.
-  if (options.model.runtime.use_inference_plan ||
-      options.model.runtime.use_int8) {
-    pipeline->planner_ = std::make_unique<core::InferencePlanner>(
-        pipeline->block_classifier_.get());
-  }
-
   if (report != nullptr) {
     report->pretrain = pretrain_stats;
     report->block_val_accuracy = block_acc;
@@ -229,8 +221,7 @@ StructuredResume ResuFormerPipeline::ParseDocument(
   std::vector<int> labels;
   {
     TRACE_SPAN("pipeline.block_classify");
-    labels = planner_ != nullptr ? planner_->Predict(encoded)
-                                 : block_classifier_->Predict(encoded);
+    labels = block_classifier_->Predict(encoded);
   }
   std::vector<doc::Block> blocks;
   {
@@ -403,13 +394,6 @@ Result<std::unique_ptr<ResuFormerPipeline>> ResuFormerPipeline::Load(
                            directory + "/ner.bin");
     if (!s.ok()) return s;
     pipeline->ner_model_->SetTraining(false);
-  }
-  // use_int8 implies plan routing: the int8 kernels only exist inside plan
-  // replay, and unplannable documents still fall back to dynamic fp32.
-  if (options.model.runtime.use_inference_plan ||
-      options.model.runtime.use_int8) {
-    pipeline->planner_ = std::make_unique<core::InferencePlanner>(
-        pipeline->block_classifier_.get());
   }
   return pipeline;
 }

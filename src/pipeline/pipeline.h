@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "core/block_classifier.h"
-#include "core/inference_plan.h"
 #include "core/pretrainer.h"
 #include "distant/ner_dataset.h"
 #include "resumegen/corpus.h"
@@ -165,10 +164,6 @@ class ResuFormerPipeline {
   std::unique_ptr<text::WordPieceTokenizer> tokenizer_;
   std::unique_ptr<core::BlockClassifier> block_classifier_;
   std::unique_ptr<selftrain::NerModel> ner_model_;
-  // Non-null only when options_.model.runtime.use_inference_plan or
-  // .use_int8 is set; ParseDocument then routes block prediction through
-  // the plan cache (int8 kernels when use_int8, fp32 replay otherwise).
-  std::unique_ptr<core::InferencePlanner> planner_;
 };
 
 }  // namespace pipeline

@@ -96,8 +96,9 @@ std::vector<float> TensorArena::Acquire(int64_t n, bool* from_arena) {
 
 void TensorArena::Release(std::vector<float>&& buffer, bool was_acquired) {
   std::vector<float> local = std::move(buffer);  // free outside the lock
+  if (!was_acquired) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (was_acquired) outstanding_->Add(-1);
+  outstanding_->Add(-1);
   if (!enabled_) return;
   const int64_t capacity = static_cast<int64_t>(local.capacity());
   const int cls = FloorClassIndex(capacity, kMinClassLog2, kMaxClassLog2);

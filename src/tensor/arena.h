@@ -22,9 +22,13 @@ namespace resuformer {
 ///  * The arena never owns live data — Acquire transfers the buffer to the
 ///    caller (normally a TensorImpl), Release transfers it back. In between
 ///    the buffer is a plain std::vector<float> with value semantics.
-///  * Buffers are keyed by the largest power-of-two <= capacity, so a
-///    released buffer whose capacity is not itself a size class (e.g. one
-///    adopted from Tensor::FromData) still serves any request it can hold.
+///  * Only buffers the arena handed out are parked again. A foreign buffer
+///    (adopted by Tensor::FromData, a Detach copy, a gradient vector) is
+///    freed on release: steady-state demand is served by acquired buffers,
+///    so parked foreign buffers would never drain and the cache would fill
+///    toward its budget.
+///  * Acquired buffers reserve their whole size class, so a released one
+///    parks in the class it came from.
 ///  * Requests larger than the maximum size class bypass the free lists
 ///    (plain allocation, counted as a miss); tiny buffers below the minimum
 ///    class are not worth caching and are dropped on release.
@@ -79,7 +83,7 @@ class TensorArena {
   /// Returns a buffer to the free lists (or frees it when disabled / over
   /// budget / below the minimum class). `was_acquired` must be the value
   /// reported by Acquire for this buffer; foreign buffers pass false and
-  /// are still recycled, they just never touched the outstanding count.
+  /// are freed, never parked.
   void Release(std::vector<float>&& buffer, bool was_acquired);
 
   Stats stats() const;

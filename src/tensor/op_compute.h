@@ -51,6 +51,23 @@ void ForRows(int64_t rows, int64_t work, int64_t threshold, Fn&& fn) {
   }
 }
 
+// Work counters. The dynamic ops (tensor/ops.cc) and the plan executor both
+// count through CountGemm, so a run reports the same GEMM calls and forward
+// flops whichever path executed them.
+enum class GemmForm { kNN, kNT, kTN, kFusedAttention };
+
+/// Bumps the form's call counter (`ops.gemm_nn/nt/tn.calls`,
+/// `ops.fused_attention.calls`) and `ops.gemm.forward_flops` by
+/// 2·mul_adds. Always live (relaxed atomic adds). Defined in ops.cc.
+void CountGemm(GemmForm form, int64_t mul_adds);
+
+/// Multiply-accumulates of one fused attention forward: the score and
+/// output GEMMs of every head, 2·H·T·T·head_dim.
+inline int64_t FusedAttentionMulAdds(int t_len, int dim, int num_heads) {
+  return 2 * static_cast<int64_t>(num_heads) * t_len * t_len *
+         (dim / num_heads);
+}
+
 /// Runs fn(begin, end) over [0, n), chunked across the pool for large n.
 template <typename Fn>
 void ForElems(int64_t n, Fn&& fn) {
@@ -234,7 +251,7 @@ inline void FusedAttentionForward(const float* q, const float* k,
   const int head_dim = dim / num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const int64_t rows = static_cast<int64_t>(num_heads) * t_len;
-  const int64_t work = 2 * rows * t_len * head_dim;
+  const int64_t work = FusedAttentionMulAdds(t_len, dim, num_heads);
   // One fork for the whole op; each (head, row) pair computes its score
   // row, softmaxes it in place, and accumulates its slice of the output —
   // no transposes, slices or concats, and no worker shares an output row.

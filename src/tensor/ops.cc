@@ -14,6 +14,29 @@
 #include "tensor/plan.h"
 
 namespace resuformer {
+
+// ---------------------------------------------------------------------------
+// Observability. Each GEMM-bearing op opens a TRACE_SPAN (one relaxed load
+// when tracing is off) and bumps a call + forward-flop counter (relaxed
+// atomic adds, always on — these are the structural tallies bench_micro
+// snapshots into BENCH_MICRO.json). Instrument pointers are resolved once
+// through function-local statics; the hot path never touches the registry.
+// ---------------------------------------------------------------------------
+
+void opcompute::CountGemm(GemmForm form, int64_t mul_adds) {
+  auto& registry = metrics::MetricsRegistry::Global();
+  static metrics::Counter* const nn = registry.GetCounter("ops.gemm_nn.calls");
+  static metrics::Counter* const nt = registry.GetCounter("ops.gemm_nt.calls");
+  static metrics::Counter* const tn = registry.GetCounter("ops.gemm_tn.calls");
+  static metrics::Counter* const attention =
+      registry.GetCounter("ops.fused_attention.calls");
+  static metrics::Counter* const flops =
+      registry.GetCounter("ops.gemm.forward_flops");
+  metrics::Counter* const calls[] = {nn, nt, tn, attention};
+  calls[static_cast<int>(form)]->Increment();
+  flops->Increment(2 * mul_adds);
+}
+
 namespace ops {
 
 namespace {
@@ -35,9 +58,11 @@ using ImplPtr = std::shared_ptr<TensorImpl>;
 // they are deterministic for a fixed thread count.
 // ---------------------------------------------------------------------------
 
+using opcompute::CountGemm;
 using opcompute::ForElems;
 using opcompute::ForRows;
 using opcompute::GemmAccRows;
+using opcompute::GemmForm;
 using opcompute::kGemmJB;
 using opcompute::kGemmParallelWork;
 using opcompute::kRowParallelWork;
@@ -148,21 +173,6 @@ bool SameShape(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape();
 }
 
-// ---------------------------------------------------------------------------
-// Observability. Each GEMM-bearing op opens a TRACE_SPAN (one relaxed load
-// when tracing is off) and bumps a call + forward-flop counter (relaxed
-// atomic adds, always on — these are the structural tallies bench_micro
-// snapshots into BENCH_MICRO.json). Instrument pointers are resolved once
-// through function-local statics; the hot path never touches the registry.
-// ---------------------------------------------------------------------------
-
-void CountGemm(metrics::Counter* calls, int64_t mul_adds) {
-  static metrics::Counter* flops =
-      metrics::MetricsRegistry::Global().GetCounter("ops.gemm.forward_flops");
-  calls->Increment();
-  flops->Increment(2 * mul_adds);
-}
-
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -171,9 +181,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   RF_CHECK_EQ(b.rank(), 2);
   const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
   RF_CHECK_EQ(k, b.dim(0));
-  static metrics::Counter* calls =
-      metrics::MetricsRegistry::Global().GetCounter("ops.gemm_nn.calls");
-  CountGemm(calls, static_cast<int64_t>(m) * k * n);
+  CountGemm(GemmForm::kNN, static_cast<int64_t>(m) * k * n);
   Tensor out = MakeNode({m, n}, {a.impl(), b.impl()});
   opcompute::MatMulNNForward(a.data(), b.data(), out.data(), m, k, n);
   if (plan::RecordingActive()) {
@@ -216,9 +224,7 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   RF_CHECK_EQ(b.rank(), 2);
   const int m = a.dim(0), k = a.dim(1), n = b.dim(0);
   RF_CHECK_EQ(k, b.dim(1));
-  static metrics::Counter* calls =
-      metrics::MetricsRegistry::Global().GetCounter("ops.gemm_nt.calls");
-  CountGemm(calls, static_cast<int64_t>(m) * k * n);
+  CountGemm(GemmForm::kNT, static_cast<int64_t>(m) * k * n);
   Tensor out = MakeNode({m, n}, {a.impl(), b.impl()});
   opcompute::MatMulNTForward(a.data(), b.data(), out.data(), m, k, n);
   if (plan::RecordingActive()) {
@@ -260,9 +266,7 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   RF_CHECK_EQ(b.rank(), 2);
   const int k = a.dim(0), m = a.dim(1), n = b.dim(1);
   RF_CHECK_EQ(k, b.dim(0));
-  static metrics::Counter* calls =
-      metrics::MetricsRegistry::Global().GetCounter("ops.gemm_tn.calls");
-  CountGemm(calls, static_cast<int64_t>(m) * k * n);
+  CountGemm(GemmForm::kTN, static_cast<int64_t>(m) * k * n);
   Tensor out = MakeNode({m, n}, {a.impl(), b.impl()});
   opcompute::MatMulTNForward(a.data(), b.data(), out.data(), m, k, n);
   if (plan::RecordingActive()) {
@@ -667,11 +671,8 @@ Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
   auto attn = std::make_shared<ArenaBuffer>(static_cast<int64_t>(num_heads) *
                                             t_len * t_len);
   const int64_t rows = static_cast<int64_t>(num_heads) * t_len;
-  const int64_t work = 2 * rows * t_len * head_dim;
-  static metrics::Counter* calls =
-      metrics::MetricsRegistry::Global().GetCounter(
-          "ops.fused_attention.calls");
-  CountGemm(calls, work);  // scores + output GEMMs: 2·H·T·T·head_dim MACs
+  const int64_t work = opcompute::FusedAttentionMulAdds(t_len, dim, num_heads);
+  CountGemm(GemmForm::kFusedAttention, work);
   opcompute::FusedAttentionForward(q.data(), k.data(), v.data(),
                                    has_bias ? bias.data() : nullptr,
                                    attn->data(), out.data(), t_len, dim,

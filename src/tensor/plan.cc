@@ -22,14 +22,20 @@ thread_local Recorder* g_active_recorder = nullptr;
 // ExecContext table and calls the same opcompute:: loop the dynamic op
 // calls. Outputs that the kernels ACCUMULATE into (the GEMM family and the
 // fused-attention slabs) are zero-filled first — exactly what Tensor::Zeros
-// provides on the dynamic path — so results are bit-identical.
+// provides on the dynamic path — so results are bit-identical. GEMM-bearing
+// instructions count their work like the dynamic op does.
 // ---------------------------------------------------------------------------
 
 const Value& Val(const ExecContext& ctx, int id) { return ctx.plan->values[id]; }
 const float* Src(const ExecContext& ctx, int id) { return (*ctx.ptrs)[id]; }
 float* Dst(ExecContext& ctx, int id) { return (*ctx.ptrs)[id]; }
 
+int64_t MulAdds(const Instr& gemm) {
+  return static_cast<int64_t>(gemm.p0) * gemm.p1 * gemm.p2;
+}
+
 void ExecMatMulNN(const Instr& ins, ExecContext& ctx) {
+  opcompute::CountGemm(opcompute::GemmForm::kNN, MulAdds(ins));
   float* c = Dst(ctx, ins.out);
   std::fill(c, c + static_cast<int64_t>(ins.p0) * ins.p2, 0.0f);
   opcompute::MatMulNNForward(Src(ctx, ins.in0), Src(ctx, ins.in1), c, ins.p0,
@@ -37,6 +43,7 @@ void ExecMatMulNN(const Instr& ins, ExecContext& ctx) {
 }
 
 void ExecMatMulNT(const Instr& ins, ExecContext& ctx) {
+  opcompute::CountGemm(opcompute::GemmForm::kNT, MulAdds(ins));
   float* c = Dst(ctx, ins.out);
   std::fill(c, c + static_cast<int64_t>(ins.p0) * ins.p2, 0.0f);
   opcompute::MatMulNTForward(Src(ctx, ins.in0), Src(ctx, ins.in1), c, ins.p0,
@@ -44,6 +51,7 @@ void ExecMatMulNT(const Instr& ins, ExecContext& ctx) {
 }
 
 void ExecMatMulTN(const Instr& ins, ExecContext& ctx) {
+  opcompute::CountGemm(opcompute::GemmForm::kTN, MulAdds(ins));
   float* c = Dst(ctx, ins.out);
   std::fill(c, c + static_cast<int64_t>(ins.p0) * ins.p2, 0.0f);
   opcompute::MatMulTNForward(Src(ctx, ins.in0), Src(ctx, ins.in1), c, ins.p0,
@@ -51,6 +59,10 @@ void ExecMatMulTN(const Instr& ins, ExecContext& ctx) {
 }
 
 void ExecLinearI8(const Instr& ins, ExecContext& ctx) {
+  // Counted as the fp32 GEMM it replaced.
+  opcompute::CountGemm(
+      ins.flag ? opcompute::GemmForm::kNN : opcompute::GemmForm::kNT,
+      MulAdds(ins));
   // No zero-fill of the output: LinearI8Forward overwrites C (the int32
   // accumulators in scratch are what get zeroed, inside quant.cc).
   quant::LinearI8Forward(Src(ctx, ins.in0), *ins.qweight, Dst(ctx, ins.out),
@@ -129,6 +141,8 @@ void ExecScaleAddSoftmax(const Instr& ins, ExecContext& ctx) {
 
 void ExecFusedAttention(const Instr& ins, ExecContext& ctx) {
   const int t_len = ins.p0, dim = ins.p1, num_heads = ins.p2;
+  opcompute::CountGemm(opcompute::GemmForm::kFusedAttention,
+                       opcompute::FusedAttentionMulAdds(t_len, dim, num_heads));
   float* o = Dst(ctx, ins.out);
   float* attn = ctx.workspace + ins.scratch_offset;
   std::fill(o, o + static_cast<int64_t>(t_len) * dim, 0.0f);
@@ -257,9 +271,9 @@ int Recorder::ValueIdFor(const Tensor& t) {
   auto it = ids_.find(t.impl().get());
   if (it != ids_.end()) return it->second;
   // First sighting of storage no recorded op produced: a constant leaf
-  // (model weight, literal position/segment table, initial LSTM state).
-  // The plan keeps the impl alive, so the traced contents are the replayed
-  // contents and the raw-pointer key can never be recycled.
+  // (model weight, literal position/segment table). The plan keeps the
+  // impl alive, so every replay reads its current storage and the
+  // raw-pointer key can never be recycled.
   Value v;
   v.kind = Value::kConstant;
   v.rows = t.rows();
@@ -292,25 +306,6 @@ Instr& Recorder::Append(ExecFn fn, const char* name) {
   ins.exec = fn;
   ins.name = name;
   return ins;
-}
-
-void Recorder::BindInputTensor(int role, const Tensor& t) {
-  RF_CHECK_GE(role, 0);
-  RF_CHECK_LT(role, kNumRoles);
-  if (ids_.count(t.impl().get()) > 0) {
-    poisoned_ = true;  // already traced under another identity
-    return;
-  }
-  Value v;
-  v.kind = Value::kBinding;
-  v.rows = t.rows();
-  v.cols = t.cols();
-  v.size = t.size();
-  v.role = role;
-  const int id = static_cast<int>(values_.size());
-  values_.push_back(std::move(v));
-  ids_.emplace(t.impl().get(), id);
-  keepalive_.push_back(t.impl());
 }
 
 void Recorder::AnnotateNextGather(int role) {
@@ -476,6 +471,7 @@ void Recorder::RewriteGemmsToInt8() {
       it = cache.emplace(key, std::move(q)).first;
     }
     ins.qweight = it->second;
+    ins.flag = nn;
     ins.exec = ExecLinearI8;
     ins.name = nn ? "matmul_nn_i8" : "matmul_nt_i8";
     ins.scratch_size = quant::LinearI8ScratchFloats(ins.p0, ins.p1, ins.p2);
@@ -558,19 +554,13 @@ std::shared_ptr<const Plan> Recorder::Finish(const Tensor& output) {
 
   auto built = std::make_shared<Plan>();
   // Role requirements: every index role may appear on at most one gather
-  // (replays supply exactly one id vector per role), every tensor binding
-  // is validated by size.
+  // (replays supply exactly one id vector per role).
   for (const Instr& ins : instrs_) {
     if (ins.index_role < 0) continue;
     for (const Plan::RoleReq& req : built->index_roles) {
       if (req.role == ins.index_role) return nullptr;  // duplicate role
     }
     built->index_roles.push_back({ins.index_role, ins.p0});
-  }
-  for (const Value& v : values_) {
-    if (v.kind == Value::kBinding) {
-      built->tensor_roles.push_back({v.role, v.size});
-    }
   }
   built->output = out_id;
   built->output_size = values_[out_id].size;
@@ -597,12 +587,6 @@ bool PlanExecutor::Run(const Plan& plan, const BindingSet& bindings,
       return false;
     }
   }
-  for (const Plan::RoleReq& req : plan.tensor_roles) {
-    if (bindings.tensors[req.role] == nullptr ||
-        bindings.tensor_sizes[req.role] != req.size) {
-      return false;
-    }
-  }
   // One arena buffer per replay: after the first replay of a bucket the
   // acquire is a free-list hit, so steady state performs no allocation.
   ArenaBuffer workspace(plan.workspace_floats);
@@ -618,18 +602,10 @@ bool PlanExecutor::Run(const Plan& plan, const BindingSet& bindings,
   ctx.ptrs = &value_ptrs;
   for (size_t i = 0; i < plan.values.size(); ++i) {
     const Value& v = plan.values[i];
-    switch (v.kind) {
-      case Value::kConstant:
-        // const_cast is safe: exec functions only ever write kTemp slots.
-        value_ptrs[i] = const_cast<float*>(v.constant->data_ptr());
-        break;
-      case Value::kBinding:
-        value_ptrs[i] = const_cast<float*>(bindings.tensors[v.role]);
-        break;
-      case Value::kTemp:
-        value_ptrs[i] = workspace.data() + v.offset;
-        break;
-    }
+    // const_cast is safe: exec functions only ever write kTemp slots.
+    value_ptrs[i] = v.kind == Value::kConstant
+                        ? const_cast<float*>(v.constant->data_ptr())
+                        : workspace.data() + v.offset;
   }
   for (const Instr& ins : plan.instrs) {
     ins.exec(ins, ctx);

@@ -15,7 +15,7 @@ struct QuantizedTensor;
 namespace plan {
 
 /// \brief Static inference plans: trace a forward pass once, replay it per
-/// document with zero tape construction, zero shape inference and zero
+/// sentence with zero tape construction, zero shape inference and zero
 /// allocator misses.
 ///
 /// The layer follows the graph-executor/interpreter split: a thread-local
@@ -37,37 +37,32 @@ namespace plan {
 /// Determinism contract: the executor calls the exact opcompute:: loops the
 /// dynamic ops call, zeroing each output slot first just as Tensor::Zeros
 /// does, so a replay is bit-identical to the dynamic forward at any fixed
-/// thread count.
+/// thread count. Replayed GEMMs and fused attention bump the same work
+/// counters (opcompute::CountGemm) as the ops they stand for.
 ///
 /// Thread safety: plans are immutable after Finish and hold no mutable
 /// state; any number of threads may Run the same plan concurrently (each
 /// Run draws its own workspace from the TensorArena). Recorders are
 /// thread-local and must not outlive their thread.
 
-// Binding roles: the replay-variable inputs of a plan. Index roles feed
-// GatherRows instructions (embedding lookups); tensor roles feed whole
-// input matrices.
-inline constexpr int kRoleTokenIds = 0;    // index: token ids incl. CLS
-inline constexpr int kRoleLayout0 = 1;     // index: layout feature f buckets
+// Binding roles: the replay-variable inputs of a plan, each feeding the
+// indices of one GatherRows instruction (an embedding lookup).
+inline constexpr int kRoleTokenIds = 0;    // token ids incl. CLS
+inline constexpr int kRoleLayout0 = 1;     // layout feature f buckets
                                            // (roles 1..7 = features 0..6)
-inline constexpr int kRoleHiddenInput = 8;  // tensor: [m, D] sentence reprs
-inline constexpr int kRoleVisualInput = 9;  // tensor: [m, visual] features
-inline constexpr int kNumRoles = 10;
+inline constexpr int kNumRoles = 8;
 inline constexpr int kNumLayoutFeatures = 7;
 
 /// One SSA value of a plan: a model constant (weights, literal index
-/// embeddings' sources, initial LSTM states), a per-replay binding, or a
-/// temporary at a pre-assigned workspace offset.
+/// embeddings' sources) or a temporary at a pre-assigned workspace offset.
 struct Value {
-  enum Kind { kConstant, kBinding, kTemp };
+  enum Kind { kConstant, kTemp };
   Kind kind = kTemp;
   int rows = 0;
   int cols = 0;
   int64_t size = 0;
   /// kConstant: keeps the traced storage alive for the plan's lifetime.
   std::shared_ptr<TensorImpl> constant;
-  /// kBinding: which BindingSet tensor slot supplies the data.
-  int role = -1;
   /// kTemp: float offset of this value's slot in the workspace.
   int64_t offset = -1;
 };
@@ -86,7 +81,7 @@ struct Instr {
   int out = -1;
   float alpha = 0.0f;         // scale / eps / sign, op-dependent
   int p0 = 0, p1 = 0, p2 = 0; // op-dependent ints (dims, slice start/len)
-  bool flag = false;          // broadcast, op-dependent
+  bool flag = false;  // broadcast; int8 GEMM: replaced an NN (not NT) GEMM
   std::vector<int> indices;   // literal gather indices
   int index_role = -1;        // gather indices come from the BindingSet
   int64_t scratch_offset = -1;  // attention prob slab / int8 quant scratch
@@ -112,25 +107,22 @@ struct Plan {
   /// BindingSet against them before touching any kernel.
   struct RoleReq {
     int role = -1;
-    int64_t size = 0;  // index count (index roles) or float count (tensors)
+    int64_t size = 0;  // index count
   };
   std::vector<RoleReq> index_roles;
-  std::vector<RoleReq> tensor_roles;
 };
 
 /// Per-replay inputs. Pointers are borrowed for the duration of Run.
 struct BindingSet {
   const std::vector<int>* indices[kNumRoles] = {};
-  const float* tensors[kNumRoles] = {};
-  int64_t tensor_sizes[kNumRoles] = {};
 };
 
 struct ExecContext {
   const Plan* plan = nullptr;
   const BindingSet* bindings = nullptr;
   float* workspace = nullptr;
-  /// Resolved base pointer per value id (constant storage, binding pointer,
-  /// or workspace slot), filled once at the top of Run. Points at a
+  /// Resolved base pointer per value id (constant storage or workspace
+  /// slot), filled once at the top of Run. Points at a
   /// thread-local table owned by Run: replays reuse its capacity, so the
   /// steady state performs no per-call allocation here.
   const std::vector<float*>* ptrs = nullptr;
@@ -152,16 +144,12 @@ class Recorder {
   /// The active recorder on this thread, or nullptr.
   static Recorder* Active();
 
-  /// Declares `t` a per-replay tensor input under `role` (kRoleHiddenInput /
-  /// kRoleVisualInput). Must be called before the traced forward reads it.
-  void BindInputTensor(int role, const Tensor& t);
-
   /// The next GatherRows recorded on this thread takes its indices from
   /// `role` at replay instead of baking in the traced literals.
   void AnnotateNextGather(int role);
 
   /// Makes Finish() rewrite every GEMM whose B operand is a plan constant
-  /// (Linear layers, attention projections, LSTM gates) to the int8 kernel:
+  /// (Linear layers, attention projections) to the int8 kernel:
   /// the weight is quantized per-tensor once at plan-build time and cached
   /// in the instruction; activations are quantized dynamically per replay.
   /// Must be called before the traced forward runs. Replays are then NOT
@@ -202,8 +190,8 @@ class Recorder {
                        const Tensor& beta, const Tensor& out, float eps);
 
  private:
-  /// Value id for a traced tensor: a previously recorded output, a bound
-  /// input, or (first sighting) a new constant whose storage is kept alive.
+  /// Value id for a traced tensor: a previously recorded output or (first
+  /// sighting) a new constant whose storage is kept alive.
   int ValueIdFor(const Tensor& t);
   int RegisterOutput(const Tensor& out);
   Instr& Append(ExecFn fn, const char* name);
@@ -247,7 +235,7 @@ class PlanExecutor {
   /// Replays `plan` against `bindings`, writing the plan output (row-major,
   /// plan.output_size floats) into `out`. Returns false — without touching
   /// `out` — when the bindings fail validation (missing role, wrong index
-  /// count or tensor size, index out of range). The workspace is one
+  /// count, index out of range). The workspace is one
   /// TensorArena buffer acquired per call, so steady-state replay allocates
   /// nothing new.
   static bool Run(const Plan& plan, const BindingSet& bindings, float* out);

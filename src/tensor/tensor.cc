@@ -22,13 +22,11 @@ int64_t ShapeProduct(const std::vector<int>& shape) {
 }  // namespace
 
 TensorImpl::~TensorImpl() {
-  // Recycle storage through the arena. Foreign buffers (FromData, plain
-  // grads) are parked too — they just never touched the outstanding count.
-  TensorArena& arena = TensorArena::Global();
-  if (!data.empty() || data_from_arena) {
-    arena.Release(std::move(data), data_from_arena);
+  // Arena-acquired storage goes back to the arena; foreign buffers
+  // (FromData adoptions, Detach copies, gradients) free themselves.
+  if (data_from_arena) {
+    TensorArena::Global().Release(std::move(data), /*was_acquired=*/true);
   }
-  if (!grad.empty()) arena.Release(std::move(grad), /*was_acquired=*/false);
 }
 
 NoGradGuard::NoGradGuard() : previous_(g_grad_enabled) {

@@ -13,7 +13,7 @@ namespace resuformer {
 /// Shared storage + autograd metadata behind a Tensor handle.
 /// Not part of the public API; use Tensor.
 struct TensorImpl {
-  ~TensorImpl();  // returns data/grad buffers to the TensorArena
+  ~TensorImpl();  // returns arena-acquired data to the TensorArena
 
   std::vector<int> shape;
   std::vector<float> data;

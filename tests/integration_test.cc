@@ -12,7 +12,6 @@
 
 #include "common/thread_pool.h"
 #include "core/block_classifier.h"
-#include "core/inference_plan.h"
 #include "nn/serialize.h"
 #include "pipeline/pipeline.h"
 #include "rfp2_writer.h"
@@ -317,28 +316,26 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
               parsed.blocks[i].entities.size());
   }
 
-  // Static inference-plan path: a pipeline loaded with the plan knob on
-  // must produce a bit-identical StructuredResume at a serial pool.
+  // Parse replays sentence plans; at a serial pool its blocks must be the
+  // dynamic reference's: gradient-enabled emissions (the dynamic ops),
+  // Viterbi through the same CRF, then block segmentation.
   ThreadPool::Global().SetNumThreads(1);
-  PipelineOptions plan_options = TinyOptions();
-  plan_options.model.runtime.use_inference_plan = true;
-  auto planned = ResuFormerPipeline::Load(dir, plan_options);
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  const core::BlockClassifier& classifier = (*loaded)->block_classifier();
   for (const auto& labeled : corpus.test) {
-    const StructuredResume dynamic_parse = ParseOne(**loaded, labeled.document);
-    const StructuredResume plan_parse = ParseOne(**planned, labeled.document);
-    ASSERT_EQ(plan_parse.blocks.size(), dynamic_parse.blocks.size());
-    for (size_t i = 0; i < plan_parse.blocks.size(); ++i) {
-      EXPECT_EQ(plan_parse.blocks[i].tag, dynamic_parse.blocks[i].tag);
-      EXPECT_EQ(plan_parse.blocks[i].lines, dynamic_parse.blocks[i].lines);
-      ASSERT_EQ(plan_parse.blocks[i].entities.size(),
-                dynamic_parse.blocks[i].entities.size());
-      for (size_t e = 0; e < plan_parse.blocks[i].entities.size(); ++e) {
-        EXPECT_EQ(plan_parse.blocks[i].entities[e].tag,
-                  dynamic_parse.blocks[i].entities[e].tag);
-        EXPECT_EQ(plan_parse.blocks[i].entities[e].text,
-                  dynamic_parse.blocks[i].entities[e].text);
+    const core::EncodedDocument encoded = core::EncodeForModel(
+        labeled.document, (*loaded)->tokenizer(), classifier.config());
+    ASSERT_FALSE(encoded.sentences.empty());
+    const std::vector<doc::Block> want = doc::Document::BlocksFromLabels(
+        classifier.crf()->Decode(classifier.Emissions(encoded, nullptr)));
+    const StructuredResume plan_parse = ParseOne(**loaded, labeled.document);
+    ASSERT_EQ(plan_parse.blocks.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(plan_parse.blocks[i].tag, want[i].tag);
+      std::vector<std::string> lines;
+      for (int s = want[i].first_sentence; s <= want[i].last_sentence; ++s) {
+        lines.push_back(labeled.document.sentences[s].Text());
       }
+      EXPECT_EQ(plan_parse.blocks[i].lines, lines);
     }
   }
 
@@ -367,18 +364,9 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
   }
   const double fp32_acc =
       core::SentenceLabelAccuracy((*loaded)->block_classifier(), gate_docs);
-  core::InferencePlanner int8_planner(&(*int8_pipe)->block_classifier());
-  int correct = 0, total = 0;
-  for (const core::LabeledDocument& ex : gate_docs) {
-    if (ex.document.sentences.empty()) continue;
-    const std::vector<int> pred = int8_planner.Predict(ex.document);
-    for (size_t i = 0; i < pred.size() && i < ex.labels.size(); ++i) {
-      correct += pred[i] == ex.labels[i];
-      ++total;
-    }
-  }
-  ASSERT_GT(total, 0);
-  const double int8_acc = static_cast<double>(correct) / total;
+  ASSERT_GT(fp32_acc, 0.0);  // sentences were scored
+  const double int8_acc =
+      core::SentenceLabelAccuracy((*int8_pipe)->block_classifier(), gate_docs);
   EXPECT_GE(int8_acc, fp32_acc - kBlockAccuracyTolerance)
       << "int8 block accuracy regressed beyond tolerance: fp32=" << fp32_acc
       << " int8=" << int8_acc << " delta=" << (fp32_acc - int8_acc);

@@ -19,6 +19,7 @@
 #include "nn/serialize.h"
 #include "nn/transformer.h"
 #include "rfp2_writer.h"
+#include "tensor/arena.h"
 #include "tensor/ops.h"
 
 namespace resuformer {
@@ -328,6 +329,39 @@ TEST(OptimizerTest, TrainTinyClassifier) {
     if ((logits.at(i, 1) > logits.at(i, 0)) == (ys[i] == 1)) ++correct;
   }
   EXPECT_GE(correct, 57);
+}
+
+TEST(OptimizerTest, TrainingStepsLeaveTheArenaCacheFlat) {
+  // The first step parks every buffer a step acquires; later steps must
+  // reuse them and park nothing new. Gradient vectors are not arena
+  // buffers: were they parked when their graph dies, cached_bytes would
+  // grow every step toward the arena's budget.
+  TensorArena& arena = TensorArena::Global();
+  arena.SetEnabled(true);
+  arena.Clear();
+  Rng rng(16);
+  TransformerEncoder encoder(TransformerConfig{16, 1, 2, 32, 0.0f}, &rng);
+  Linear head(16, 3, &rng);
+  std::vector<Tensor> params = encoder.Parameters();
+  for (const Tensor& p : head.Parameters()) params.push_back(p);
+  Adam adam(params, 0.01f);
+  const Tensor x = Tensor::Randn({10, 16}, &rng);
+  const std::vector<int> labels = {0, 1, 2, 0, 1, 2, 0, 1, 2, 0};
+  int64_t cached_after_first_step = 0;
+  for (int step = 0; step < 4; ++step) {
+    {
+      adam.ZeroGrad();
+      Tensor loss = ops::CrossEntropy(head.Forward(encoder.Forward(x)), labels);
+      loss.Backward();
+      adam.Step();
+    }
+    if (step == 0) {
+      cached_after_first_step = arena.stats().cached_bytes;
+    } else {
+      EXPECT_EQ(arena.stats().cached_bytes, cached_after_first_step)
+          << "step " << step;
+    }
+  }
 }
 
 TEST(OptimizerTest, SkipsParametersThatNeverReceivedGradients) {

@@ -8,18 +8,24 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/layout_token_model.h"
 #include "common/metrics.h"
+#include "common/runtime_options.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/block_classifier.h"
@@ -30,7 +36,6 @@
 #include "resumegen/corpus.h"
 #include "rf_lint/rules.h"
 #include "serve/server.h"
-#include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
@@ -156,7 +161,7 @@ void BM_EncoderForward(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderForward)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// --- inference fast path: fused attention, buffer arena, batched parse ---
+// --- inference fast path: attention, transpose-free GEMM, batched parse ---
 
 // Attention core at the paper dimensions (T=350 sentences, D=768, H=12;
 // Section V). Composed = the reference per-head op chain with materialized
@@ -244,35 +249,9 @@ void BM_MatMulWithTranspose(benchmark::State& state) {
 BENCHMARK(BM_MatMulWithTranspose)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_EncoderForwardArena(benchmark::State& state) {
-  // Same forward as BM_EncoderForward (threads=1); Arg toggles the arena so
-  // its allocation savings are visible in isolation.
-  Env& env = GetEnv();
-  core::ResuFormerConfig cfg = env.model_cfg;
-  cfg.hidden = 128;
-  cfg.ffn = 256;
-  cfg.runtime.threads = 1;
-  cfg.runtime.use_tensor_arena = state.range(0) != 0;
-  Rng rng(33);
-  core::BlockClassifier classifier(cfg, &rng);
-  classifier.SetTraining(false);
-  const core::EncodedDocument encoded =
-      core::EncodeForModel(env.corpus.test[0].document, *env.tokenizer, cfg);
-  TensorArena::Global().SetEnabled(cfg.runtime.use_tensor_arena);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(classifier.Predict(encoded));
-  }
-  state.counters["arena"] = static_cast<double>(state.range(0));
-  TensorArena::Global().SetEnabled(true);
-}
-BENCHMARK(BM_EncoderForwardArena)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // Document-batch throughput (docs/sec): serial Parse(request) loop vs the
-// pooled Parse(vector<ParseRequest>), on a fused-attention pipeline and a
-// composed-reference pipeline. The requests are built once, outside the
-// timed loop. Arg0: 0 = serial/fused, 1 = batched/fused,
-// 2 = serial/reference, 3 = batched/reference.
+// pooled Parse(vector<ParseRequest>). The requests are built once, outside
+// the timed loop. Arg0: 0 = serial, 1 = batched.
 struct ParseEnv {
   ParseEnv() {
     resumegen::CorpusConfig ccfg;
@@ -312,17 +291,13 @@ struct ParseEnv {
     options.ner_data.train_sequences = 20;
     options.ner_data.val_sequences = 8;
     options.ner_data.test_sequences = 8;
-    fused = pipeline::ResuFormerPipeline::TrainFromCorpus(corpus, options,
-                                                          nullptr);
-    options.model.runtime.use_fused_attention = false;
-    reference = pipeline::ResuFormerPipeline::TrainFromCorpus(
-        corpus, options, nullptr);
+    pipe = pipeline::ResuFormerPipeline::TrainFromCorpus(corpus, options,
+                                                         nullptr);
   }
   resumegen::Corpus corpus;
   std::vector<doc::Document> documents;
   std::vector<pipeline::ParseRequest> requests;
-  std::unique_ptr<pipeline::ResuFormerPipeline> fused;
-  std::unique_ptr<pipeline::ResuFormerPipeline> reference;
+  std::unique_ptr<pipeline::ResuFormerPipeline> pipe;
 };
 
 ParseEnv& GetParseEnv() {
@@ -332,10 +307,8 @@ ParseEnv& GetParseEnv() {
 
 void BM_ParseThroughput(benchmark::State& state) {
   ParseEnv& env = GetParseEnv();
-  const bool batched = (state.range(0) % 2) == 1;
-  const bool use_fused = state.range(0) < 2;
-  const pipeline::ResuFormerPipeline& pipe =
-      use_fused ? *env.fused : *env.reference;
+  const bool batched = state.range(0) == 1;
+  const pipeline::ResuFormerPipeline& pipe = *env.pipe;
   ThreadPool::Global().SetNumThreads(batched ? 4 : 1);
   for (auto _ : state) {
     if (batched) {
@@ -350,11 +323,9 @@ void BM_ParseThroughput(benchmark::State& state) {
                           static_cast<int64_t>(env.documents.size()));
   state.counters["docs"] = static_cast<double>(env.documents.size());
   state.counters["threads"] = batched ? 4.0 : 1.0;
-  state.counters["fused"] = use_fused ? 1.0 : 0.0;
   ThreadPool::Global().SetNumThreads(1);
 }
-BENCHMARK(BM_ParseThroughput)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParseThroughput)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Serve-path throughput (docs/sec) and tail latency: Arg concurrent
 // submitter threads push the 8-document set through the ParseServer
@@ -376,7 +347,7 @@ void BM_ServerThroughput(benchmark::State& state) {
   options.max_queue_delay_ms = 2;
   options.queue_capacity = 1024;
   options.workers = 2;
-  serve::ParseServer server(env.fused.get(), options);
+  serve::ParseServer server(env.pipe.get(), options);
   for (auto _ : state) {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(submitters));
@@ -767,10 +738,80 @@ void BM_RfLintFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_RfLintFullScan)->Unit(benchmark::kMillisecond);
 
+/// `git describe` of the source tree this binary was built from: the full
+/// commit hash, "-dirty" when tracked files differ from it, "unknown"
+/// outside a git checkout or without git.
+std::string GitRevision() {
+  const std::string command = std::string("git -C '") + RESUFORMER_REPO_ROOT +
+                              "' describe --always --dirty --abbrev=40 "
+                              "--match=no-tag-matches 2>/dev/null";
+  std::string revision;
+  if (FILE* pipe = popen(command.c_str(), "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) revision += buf;
+    if (pclose(pipe) != 0) revision.clear();
+  }
+  while (!revision.empty() && std::isspace(
+                                  static_cast<unsigned char>(revision.back()))) {
+    revision.pop_back();
+  }
+  return revision.empty() ? "unknown" : revision;
+}
+
+/// The header of BENCH_MICRO.json: what the numbers were measured under
+/// (build, runtime knobs, revision, date), after `num_cpus`.
+std::string DescribeRun() {
+  std::string out = "\"build\": {\"compiler\": ";
+  AppendJsonQuoted(&out, RESUFORMER_BENCH_COMPILER);
+  out += ", \"build_type\": ";
+  AppendJsonQuoted(&out, RESUFORMER_BENCH_BUILD_TYPE);
+  out += ", \"flags\": ";
+  AppendJsonQuoted(&out, RESUFORMER_BENCH_FLAGS);
+  out += ", \"RESUFORMER_NATIVE\": " +
+         std::to_string(RESUFORMER_BENCH_NATIVE) + "},\n";
+  // Every RuntimeOptions field, resolved from the defaults and the
+  // RESUFORMER_* environment the way a model constructor resolves them.
+  const RuntimeOptions rt = RuntimeOptions::FromEnv();
+  const std::pair<const char*, int> knobs[] = {
+      {"threads", rt.threads},
+      {"use_fused_attention", rt.use_fused_attention},
+      {"use_tensor_arena", rt.use_tensor_arena},
+      {"use_inference_plan", rt.use_inference_plan},
+      {"use_int8", rt.use_int8},
+      {"save_rfp3", rt.save_rfp3},
+      {"enable_metrics", rt.enable_metrics},
+      {"enable_tracing", rt.enable_tracing},
+      {"trace_buffer_capacity", rt.trace_buffer_capacity},
+      {"serve_max_batch", rt.serve_max_batch},
+      {"serve_max_queue_delay_ms", rt.serve_max_queue_delay_ms},
+      {"serve_queue_capacity", rt.serve_queue_capacity},
+      {"serve_workers", rt.serve_workers},
+      {"serve_stats_window_ms", rt.serve_stats_window_ms},
+      {"serve_slow_trace_us", rt.serve_slow_trace_us}};
+  out += "\"runtime\": {";
+  for (const auto& [name, value] : knobs) {
+    AppendJsonQuoted(&out, name);
+    out += ": " + std::to_string(value) + ", ";
+  }
+  out += "\"serve_slow_trace_dir\": ";
+  AppendJsonQuoted(&out, rt.serve_slow_trace_dir);
+  out += "},\n\"git_revision\": ";
+  AppendJsonQuoted(&out, GitRevision());
+  char date[32];
+  const std::time_t now = std::time(nullptr);
+  std::tm utc{};
+  gmtime_r(&now, &utc);
+  std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%SZ", &utc);
+  out += ",\n\"date\": ";
+  AppendJsonQuoted(&out, date);
+  return out + ",\n";
+}
+
 // Machine-readable sidecar: one JSON record per benchmark run with the
-// fields CI trend-lines need (op, size, threads, ns/op). Written next to
-// the working directory as BENCH_MICRO.json (override with the
-// RESUFORMER_BENCH_JSON env var).
+// fields CI trend-lines need (op, size, threads, ns/op), under a header
+// that describes the run (DescribeRun). Written next to the working
+// directory as BENCH_MICRO.json (override with the RESUFORMER_BENCH_JSON
+// env var).
 class MicroJsonReporter : public benchmark::BenchmarkReporter {
  public:
   explicit MicroJsonReporter(std::string path) : path_(std::move(path)) {}
@@ -810,7 +851,8 @@ class MicroJsonReporter : public benchmark::BenchmarkReporter {
   void Finalize() override {
     std::ofstream out(path_);
     if (!out) return;
-    out << "{\n\"num_cpus\": " << cpus_ << ",\n\"benchmarks\": [\n";
+    out << "{\n\"num_cpus\": " << cpus_ << ",\n"
+        << DescribeRun() << "\"benchmarks\": [\n";
     for (size_t i = 0; i < records_.size(); ++i) {
       out << records_[i] << (i + 1 < records_.size() ? ",\n" : "\n");
     }

@@ -3,9 +3,10 @@
 #
 #   scripts/check.sh          tier-1: release build, full test suite
 #                             (includes the rf_lint checker + its selftest),
-#                             a focused `serve`-label rerun, plus the
-#                             enforced clang-tidy pass (skipped without the
-#                             toolchain)
+#                             a focused `serve`-label rerun, a build of the
+#                             end-to-end benchmark program (perfbench/) and
+#                             its unit tests, plus the enforced clang-tidy
+#                             pass (skipped without the toolchain)
 #   scripts/check.sh --full   tier-1, then the ASan+UBSan and TSan suites
 #                             (separate build trees via CMakePresets.json;
 #                             TSan also runs the `stress` label and reruns
@@ -61,6 +62,18 @@ run_preset release
 # regression is loud even when the full pass above already covered it.
 echo "==> [release] serve-label focused rerun"
 ctest --preset release -L serve --output-on-failure -j "${jobs}"
+
+# perfbench/ is its own CMake project: it compiles the library together
+# with the benchmark program, whose workloads call the library's API. Build
+# it here (into build-perfbench/) so an API change that breaks the program
+# fails this check rather than the next benchmark run.
+echo "==> [perfbench] configure"
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+echo "==> [perfbench] build"
+cmake --build build-perfbench -j "${jobs}" \
+  --target perfbench_main perfbench_test resuformer_cli
+echo "==> [perfbench] test"
+build-perfbench/perfbench_test
 
 echo "==> clang-tidy --enforce (skipped when not installed)"
 tools/run_clang_tidy.sh --enforce "${repo_root}/build"

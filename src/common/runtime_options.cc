@@ -77,10 +77,6 @@ RuntimeOptions RuntimeOptions::FromEnv(Status* strict_error) {
   // threads stays 0 ("auto") unless the env names an explicit width; the
   // thread pool resolves 0 through the same variable, so either path agrees.
   opts.threads = envparse::IntFromEnv("RESUFORMER_THREADS", 0, 1, 256);
-  opts.use_fused_attention =
-      ParseBoolEnv("RESUFORMER_FUSED_ATTENTION", opts.use_fused_attention);
-  opts.use_tensor_arena =
-      ParseBoolEnv("RESUFORMER_TENSOR_ARENA", opts.use_tensor_arena);
   opts.use_int8 = ParseBoolEnv("RESUFORMER_USE_INT8", opts.use_int8);
   opts.enable_metrics =
       ParseBoolEnv("RESUFORMER_METRICS", opts.enable_metrics);

@@ -10,19 +10,17 @@ namespace resuformer {
 /// \brief Every process-level runtime knob in one struct.
 ///
 /// Model hyper-parameters describe *what* to compute; RuntimeOptions
-/// describes *how* the process executes it (pool width, kernel selection,
-/// allocator recycling, observability). `ResuFormerConfig` embeds one as
+/// describes *how* the process executes it (pool width, int8 kernels,
+/// serving, observability). `ResuFormerConfig` embeds one as
 /// `runtime`, and model constructors apply it via
 /// `core::ApplyRuntimeOptions`, so a single struct flows from config files,
-/// env vars or CLI flags down to the thread pool, arena, metrics registry
-/// and tracer.
+/// env vars or CLI flags down to the thread pool, metrics registry and
+/// tracer.
 ///
 /// Environment overrides are resolved in exactly one place —
 /// `RuntimeOptions::FromEnv()` — instead of scattered getenv calls:
 ///
 ///   RESUFORMER_THREADS          int    worker threads (>=1; 0 = auto)
-///   RESUFORMER_FUSED_ATTENTION  0/1    fused vs composed attention path
-///   RESUFORMER_TENSOR_ARENA     0/1    tensor-storage recycling
 ///   RESUFORMER_USE_INT8         0/1    int8 GEMMs in sentence-plan replay
 ///   RESUFORMER_METRICS          0/1    timed metrics (histograms/timers)
 ///   RESUFORMER_TRACE            0/1    scoped-span tracing
@@ -45,21 +43,17 @@ struct RuntimeOptions {
   // fixed value.
   int threads = 0;
 
-  // Fused multi-head attention kernel (ops::FusedMultiHeadAttention). The
-  // fused forward is bit-identical to the composed reference at any thread
-  // count; gradients agree to float rounding. false selects the composed
-  // per-head op chain (the equivalence oracle used by the tests).
-  bool use_fused_attention = true;
-
-  // Recycle tensor storage through the global TensorArena free-list instead
-  // of hitting the allocator on every op.
-  bool use_tensor_arena = true;
-
-  // Block-classification inference always replays sentence plans (see
-  // core/hierarchical_encoder.h); nothing can turn that off. The constant
-  // stays so that tools printing every knob (perfbench's run header) keep
-  // building and record that replay ran.
+  // Single-path decisions nothing can change: attention always runs
+  // ops::FusedMultiHeadAttention (nn/attention.h), tensor storage always
+  // recycles through the TensorArena (tensor/arena.h), block-classification
+  // inference always replays sentence plans (core/hierarchical_encoder.h),
+  // and checkpoints are always written in the mmap-able RFP3 layout
+  // (nn/serialize.h). The constants stay so that tools printing every knob
+  // (perfbench's run header) keep building and record what ran.
+  static constexpr bool use_fused_attention = true;
+  static constexpr bool use_tensor_arena = true;
   static constexpr bool use_inference_plan = true;
+  static constexpr bool save_rfp3 = true;
 
   // Quantize the constant-weight GEMMs of the sentence-plan replay (Linear
   // layers, attention projections) to per-tensor symmetric int8 with int32
@@ -71,12 +65,6 @@ struct RuntimeOptions {
   // the tier-1 accuracy gate bounds the block-accuracy / NER-F1 deltas —
   // but is deterministic at any thread count. Default off.
   bool use_int8 = false;
-
-  // Checkpoints are always written in the mmap-able RFP3 layout (see
-  // nn/serialize.h); nothing can change that. The constant stays so that
-  // tools printing every knob (perfbench's run header) keep building and
-  // record which layout their checkpoints used.
-  static constexpr bool save_rfp3 = true;
 
   // Enables the *timed* metrics (latency histograms, thread-pool queue-wait
   // sampling). Structural counters (arena hits, documents parsed, GEMM

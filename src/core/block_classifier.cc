@@ -14,7 +14,7 @@ namespace core {
 
 BlockClassifier::BlockClassifier(const ResuFormerConfig& config, Rng* rng)
     : config_(config) {
-  ApplyThreadConfig(config);
+  ApplyRuntimeOptions(config.runtime);
   encoder_ = std::make_unique<HierarchicalEncoder>(config, rng);
   bilstm_ =
       std::make_unique<nn::BiLstm>(config.hidden, config.lstm_hidden, rng);

@@ -44,22 +44,18 @@ struct ResuFormerConfig {
   float grad_clip = 5.0f;
 
   // --- runtime ---
-  // Process-level execution knobs (pool width, fused attention, arena,
-  // metrics, tracing) in one struct; see common/runtime_options.h. Applied
+  // Process-level execution knobs (pool width, int8, metrics, tracing,
+  // serving) in one struct; see common/runtime_options.h. Applied
   // via ApplyRuntimeOptions when a model is constructed. Env overrides come
   // from RuntimeOptions::FromEnv(), resolved once, not per knob.
   RuntimeOptions runtime;
 };
 
-/// Applies every RuntimeOptions field to the process-wide singletons it
-/// governs: thread-pool width, arena recycling, timed-metrics gate, tracer
-/// gate and ring capacity. Idempotent; model constructors call it (through
-/// ApplyThreadConfig) so the knobs take effect without extra wiring.
+/// Applies every process-wide RuntimeOptions field to the singleton it
+/// governs: thread-pool width, timed-metrics gate, tracer gate and ring
+/// capacity. Idempotent; model constructors call it with config.runtime so
+/// the knobs take effect without extra wiring.
 void ApplyRuntimeOptions(const RuntimeOptions& options);
-
-/// Back-compat shim: applies config.runtime (historical name from when the
-/// only runtime knob was the pool width).
-void ApplyThreadConfig(const ResuFormerConfig& config);
 
 }  // namespace core
 }  // namespace resuformer

@@ -102,7 +102,7 @@ EncodedDocument EncodeForModel(const doc::Document& document,
 HierarchicalEncoder::HierarchicalEncoder(const ResuFormerConfig& config,
                                          Rng* rng)
     : config_(config) {
-  ApplyThreadConfig(config);
+  ApplyRuntimeOptions(config.runtime);
   const int d = config.hidden;
   token_embedding_ =
       std::make_unique<nn::Embedding>(config.vocab_size, d, rng);
@@ -115,8 +115,7 @@ HierarchicalEncoder::HierarchicalEncoder(const ResuFormerConfig& config,
     RegisterModule(layout_embeddings_.back().get());
   }
   nn::TransformerConfig sent_cfg{d, config.sentence_layers, config.num_heads,
-                                 config.ffn, config.dropout,
-                                 config.runtime.use_fused_attention};
+                                 config.ffn, config.dropout};
   sentence_encoder_ = std::make_unique<nn::TransformerEncoder>(sent_cfg, rng);
   sentence_dense_ = std::make_unique<nn::Linear>(d, d, rng);
   mlm_bias_ = RegisterParameter(Tensor::Zeros({config.vocab_size}));
@@ -126,8 +125,7 @@ HierarchicalEncoder::HierarchicalEncoder(const ResuFormerConfig& config,
   sentence_position_embedding_ =
       std::make_unique<nn::Embedding>(config.max_sentences, d, rng);
   nn::TransformerConfig doc_cfg{d, config.document_layers, config.num_heads,
-                                config.ffn, config.dropout,
-                                config.runtime.use_fused_attention};
+                                config.ffn, config.dropout};
   document_encoder_ = std::make_unique<nn::TransformerEncoder>(doc_cfg, rng);
   mask_vector_ = RegisterParameter(Tensor::Randn({1, d}, rng, 0.02f));
 

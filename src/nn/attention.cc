@@ -1,7 +1,5 @@
 #include "nn/attention.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 #include "tensor/ops.h"
 
@@ -9,12 +7,9 @@ namespace resuformer {
 namespace nn {
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(int dim, int num_heads,
-                                               Rng* rng, bool fused)
-    : dim_(dim),
-      num_heads_(num_heads),
-      head_dim_(dim / num_heads),
-      fused_(fused) {
-  RF_CHECK_EQ(head_dim_ * num_heads_, dim_);
+                                               Rng* rng)
+    : dim_(dim), num_heads_(num_heads) {
+  RF_CHECK_EQ(dim % num_heads, 0);
   wq_ = std::make_unique<Linear>(dim, dim, rng);
   wk_ = std::make_unique<Linear>(dim, dim, rng);
   wv_ = std::make_unique<Linear>(dim, dim, rng);
@@ -30,28 +25,7 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x,
   const Tensor q = wq_->Forward(x);
   const Tensor k = wk_->Forward(x);
   const Tensor v = wv_->Forward(x);
-
-  if (fused_) {
-    return wo_->Forward(ops::FusedMultiHeadAttention(q, k, v, bias,
-                                                     num_heads_));
-  }
-
-  // Reference composed-ops path: one slice/transpose/scale/softmax/concat
-  // chain per head. Kept as the equivalence oracle for the fused kernel.
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Tensor> head_outputs;
-  head_outputs.reserve(num_heads_);
-  for (int h = 0; h < num_heads_; ++h) {
-    const int off = h * head_dim_;
-    Tensor qh = ops::SliceCols(q, off, head_dim_);
-    Tensor kh = ops::SliceCols(k, off, head_dim_);
-    Tensor vh = ops::SliceCols(v, off, head_dim_);
-    Tensor scores = ops::Scale(ops::MatMul(qh, ops::Transpose(kh)), scale);
-    if (bias.defined()) scores = ops::Add(scores, bias);
-    Tensor attn = ops::Softmax(scores);
-    head_outputs.push_back(ops::MatMul(attn, vh));
-  }
-  return wo_->Forward(ops::ConcatCols(head_outputs));
+  return wo_->Forward(ops::FusedMultiHeadAttention(q, k, v, bias, num_heads_));
 }
 
 }  // namespace nn

@@ -15,19 +15,17 @@ namespace nn {
 /// of the projected Q/K/V matrices. An optional additive attention bias
 /// [T, T] supports padding masks (-inf entries) and locality priors.
 ///
-/// Two execution paths compute the same function:
-///  * fused (default): one ops::FusedMultiHeadAttention node over strided
-///    head views — no per-head slice/transpose/concat copies, one fork-join
-///    for all heads, full autograd support;
-///  * reference (`fused = false`): the composed per-head op chain
-///    (SliceCols / MatMul / Transpose / Scale / Add / Softmax / ConcatCols).
-/// Fused results are deterministic and bit-identical across thread counts;
-/// against the reference path they agree to float rounding (within 1e-5
-/// relative on forward and backward — the score reductions run as
-/// SIMD-reassociated dots, see kernels::GemmNTVec).
+/// The heads run as one ops::FusedMultiHeadAttention node over strided head
+/// views — no per-head slice/transpose/concat copies, one fork-join for all
+/// heads, full autograd support. Results are deterministic and
+/// bit-identical across thread counts. The composed per-head op chain
+/// (SliceCols / MatMul / Transpose / Scale / Add / Softmax / ConcatCols) is
+/// the test oracle (tests/tensor_test.cc, FusedOpsTest): the two agree to
+/// float rounding, within 1e-5 relative on forward and backward — the score
+/// reductions run as SIMD-reassociated dots, see kernels::GemmNTVec.
 class MultiHeadSelfAttention : public Module {
  public:
-  MultiHeadSelfAttention(int dim, int num_heads, Rng* rng, bool fused = true);
+  MultiHeadSelfAttention(int dim, int num_heads, Rng* rng);
 
   /// x: [T, dim] -> [T, dim]. `bias` (optional) is added to the raw
   /// attention scores of every head.
@@ -35,13 +33,10 @@ class MultiHeadSelfAttention : public Module {
 
   int dim() const { return dim_; }
   int num_heads() const { return num_heads_; }
-  bool fused() const { return fused_; }
 
  private:
   int dim_;
   int num_heads_;
-  int head_dim_;
-  bool fused_;
   std::unique_ptr<Linear> wq_;
   std::unique_ptr<Linear> wk_;
   std::unique_ptr<Linear> wv_;

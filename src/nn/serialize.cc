@@ -23,14 +23,14 @@ namespace resuformer {
 namespace nn {
 
 namespace {
-// RFP1 stored only flattened element counts, so two same-size parameters
-// with different shapes (e.g. a transposed projection) loaded silently into
-// the wrong layout; its magic is still recognised, only to refuse the file.
-// RFP2 stores per-tensor shapes and verifies them. RFP3 moves the shape
-// index to the front of the file and aligns every raw payload to 64 bytes
-// so the whole file can be mmap'd and parameters pointed straight at the
-// page cache. All multi-byte fields are little-endian; a big-endian reader
-// rejects the magic rather than mis-reading payloads.
+// RFP3 keeps a shape index at the front of the file and aligns every raw
+// payload to 64 bytes so the whole file can be mmap'd and parameters
+// pointed straight at the page cache. The older layouts' magics are still
+// recognised, only to refuse the file by name: RFP1 stored only flattened
+// element counts (a transposed projection loaded silently into the wrong
+// layout), and RFP2 packed each payload inline after its shape record, so
+// it cannot be mapped. All multi-byte fields are little-endian; a
+// big-endian reader rejects the magic rather than mis-reading payloads.
 constexpr uint32_t kMagicV1 = 0x52465031;  // "RFP1"
 constexpr uint32_t kMagicV2 = 0x52465032;  // "RFP2"
 constexpr uint32_t kMagicV3 = 0x52465033;  // "RFP3"
@@ -80,6 +80,7 @@ Status CheckShapes(const std::string& source,
   return Status::OK();
 }
 
+#if !defined(RESUFORMER_HAVE_MMAP)
 /// Byte size of the whole file, or -1 on failure. Pre-validating payload
 /// extents against this is what keeps a corrupt header from driving huge
 /// allocations or silent short reads.
@@ -89,6 +90,7 @@ int64_t FileSizeOf(std::ifstream* in) {
   in->seekg(0, std::ios::beg);
   return in->good() ? static_cast<int64_t>(size) : -1;
 }
+#endif
 
 Status TruncatedRecord(size_t index, const std::string& path) {
   return Status::FailedPrecondition(StringPrintf(
@@ -96,148 +98,12 @@ Status TruncatedRecord(size_t index, const std::string& path) {
       index, path.c_str()));
 }
 
-/// One parsed RFP2/RFP3 index record.
+/// One parsed RFP3 index record.
 struct ParamRecord {
   std::vector<int> shape;
   uint64_t elements = 0;
-  uint64_t payload_offset = 0;  // RFP3 only
+  uint64_t payload_offset = 0;
 };
-
-/// Reads the shape header of one RFP2 record, bounds-checking against the
-/// remaining file bytes. Leaves the stream at the start of the payload.
-Status ReadRfp2RecordHeader(std::ifstream* in, int64_t file_size,
-                            size_t index, const std::string& path,
-                            ParamRecord* rec) {
-  uint32_t rank = 0;
-  if (static_cast<int64_t>(in->tellg()) + 4 > file_size) {
-    return TruncatedRecord(index, path);
-  }
-  in->read(reinterpret_cast<char*>(&rank), sizeof(rank));
-  if (!*in || rank > kMaxRank) {
-    return Status::FailedPrecondition(StringPrintf(
-        "parameter %zu: corrupt rank %u in %s", index, rank, path.c_str()));
-  }
-  if (static_cast<int64_t>(in->tellg()) + 4 * static_cast<int64_t>(rank) >
-      file_size) {
-    return TruncatedRecord(index, path);
-  }
-  rec->shape.resize(rank);
-  rec->elements = 1;
-  for (uint32_t d = 0; d < rank; ++d) {
-    int32_t extent = 0;
-    in->read(reinterpret_cast<char*>(&extent), sizeof(extent));
-    if (!*in || extent < 0) {
-      return Status::FailedPrecondition(StringPrintf(
-          "parameter %zu: corrupt dimension in %s", index, path.c_str()));
-    }
-    rec->shape[d] = extent;
-    rec->elements *= static_cast<uint64_t>(extent);
-  }
-  // The payload must fit inside the file *before* anything reads it.
-  const int64_t payload_bytes = static_cast<int64_t>(rec->elements) * 4;
-  if (static_cast<int64_t>(in->tellg()) + payload_bytes > file_size) {
-    return Status::FailedPrecondition(StringPrintf(
-        "parameter %zu (shape %s): payload of %lld bytes extends past end "
-        "of file %s",
-        index, ShapeToString(rec->shape).c_str(),
-        static_cast<long long>(payload_bytes), path.c_str()));
-  }
-  return Status::OK();
-}
-
-/// Writes an RFP3 image to `path + ".tmp"` and renames it over `path`.
-/// rename() swaps the directory entry atomically: readers see either the
-/// old file or the new one, and a process that mmap'd the old file keeps
-/// the old inode — rewriting in place would change its loaded weights.
-Status WriteRfp3File(const std::vector<std::vector<int>>& shapes,
-                     const std::vector<const float*>& payloads,
-                     const std::string& path) {
-  const std::string tmp_path = path + ".tmp";
-  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for write: " + tmp_path);
-  const uint64_t count = shapes.size();
-  // Header + index size determines where the aligned payload region starts.
-  uint64_t pos = sizeof(kMagicV3) + sizeof(uint32_t) + sizeof(count);
-  for (const auto& shape : shapes) {
-    pos += sizeof(uint32_t) + 4 * shape.size() + sizeof(uint64_t);
-  }
-  std::vector<uint64_t> offsets(count);
-  std::vector<uint64_t> sizes(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t elements = 1;
-    for (int d : shapes[i]) elements *= static_cast<uint64_t>(d);
-    pos = (pos + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
-    offsets[i] = pos;
-    sizes[i] = elements * 4;
-    pos += sizes[i];
-  }
-  const uint32_t reserved = 0;
-  out.write(reinterpret_cast<const char*>(&kMagicV3), sizeof(kMagicV3));
-  out.write(reinterpret_cast<const char*>(&reserved), sizeof(reserved));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint32_t rank = static_cast<uint32_t>(shapes[i].size());
-    out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
-    for (int d : shapes[i]) {
-      const int32_t extent = d;
-      out.write(reinterpret_cast<const char*>(&extent), sizeof(extent));
-    }
-    out.write(reinterpret_cast<const char*>(&offsets[i]),
-              sizeof(offsets[i]));
-  }
-  uint64_t written = static_cast<uint64_t>(out.tellp());
-  const char zeros[kPayloadAlign] = {};
-  for (uint64_t i = 0; i < count; ++i) {
-    if (offsets[i] > written) {
-      out.write(zeros, static_cast<std::streamsize>(offsets[i] - written));
-    }
-    out.write(reinterpret_cast<const char*>(payloads[i]),
-              static_cast<std::streamsize>(sizes[i]));
-    written = offsets[i] + sizes[i];
-  }
-  out.close();
-  if (!out) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("write failed: " + tmp_path);
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot rename " + tmp_path + " to " + path);
-  }
-  return Status::OK();
-}
-
-/// Reads and validates a whole RFP2 file into per-parameter shapes and
-/// values. RFP2 records are self-describing, so this needs no module; an
-/// absurd record count is caught record by record, each of which
-/// bounds-checks against the true file size before allocating.
-Status ReadRfp2File(const std::string& path,
-                    std::vector<std::vector<int>>* shapes,
-                    std::vector<std::vector<float>>* values) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  const int64_t file_size = FileSizeOf(&in);
-  if (file_size < 0) return Status::IoError("cannot stat: " + path);
-  uint32_t magic = 0;
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || magic != kMagicV2) {
-    return Status::IoError("bad parameter file header: " + path);
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    ParamRecord rec;
-    RF_RETURN_NOT_OK(ReadRfp2RecordHeader(&in, file_size,
-                                          static_cast<size_t>(i), path, &rec));
-    std::vector<float> payload(rec.elements);
-    in.read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(rec.elements * 4));
-    if (!in) return Status::IoError("truncated parameter file: " + path);
-    shapes->push_back(std::move(rec.shape));
-    values->push_back(std::move(payload));
-  }
-  return Status::OK();
-}
 
 #if defined(RESUFORMER_HAVE_MMAP)
 /// Owns one whole-checkpoint mapping; every parameter's external_owner is a
@@ -403,16 +269,62 @@ Status LoadParametersRfp3(std::vector<Tensor>* params,
 }  // namespace
 
 Status SaveParameters(const Module& module, const std::string& path) {
+  // The image goes to `path + ".tmp"`, which is then renamed over `path`.
+  // rename() swaps the directory entry atomically: readers see either the
+  // old file or the new one, and a process that mmap'd the old file keeps
+  // the old inode — rewriting in place would change its loaded weights.
   const std::vector<Tensor> params = module.Parameters();
-  std::vector<std::vector<int>> shapes;
-  std::vector<const float*> payloads;
-  shapes.reserve(params.size());
-  payloads.reserve(params.size());
+  const std::string tmp_path = path + ".tmp";
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IoError("cannot open for write: " + tmp_path);
+  const uint64_t count = params.size();
+  // Header + index size determines where the aligned payload region starts.
+  uint64_t pos = sizeof(kMagicV3) + sizeof(uint32_t) + sizeof(count);
   for (const Tensor& p : params) {
-    shapes.push_back(p.shape());
-    payloads.push_back(p.data());
+    pos += sizeof(uint32_t) + 4 * p.shape().size() + sizeof(uint64_t);
   }
-  return WriteRfp3File(shapes, payloads, path);
+  std::vector<uint64_t> offsets(count);
+  std::vector<uint64_t> sizes(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    pos = (pos + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
+    offsets[i] = pos;
+    sizes[i] = static_cast<uint64_t>(params[i].size()) * 4;
+    pos += sizes[i];
+  }
+  const uint32_t reserved = 0;
+  out.write(reinterpret_cast<const char*>(&kMagicV3), sizeof(kMagicV3));
+  out.write(reinterpret_cast<const char*>(&reserved), sizeof(reserved));
+  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint32_t rank = static_cast<uint32_t>(params[i].shape().size());
+    out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+    for (int d : params[i].shape()) {
+      const int32_t extent = d;
+      out.write(reinterpret_cast<const char*>(&extent), sizeof(extent));
+    }
+    out.write(reinterpret_cast<const char*>(&offsets[i]),
+              sizeof(offsets[i]));
+  }
+  uint64_t written = static_cast<uint64_t>(out.tellp());
+  const char zeros[kPayloadAlign] = {};
+  for (uint64_t i = 0; i < count; ++i) {
+    if (offsets[i] > written) {
+      out.write(zeros, static_cast<std::streamsize>(offsets[i] - written));
+    }
+    out.write(reinterpret_cast<const char*>(params[i].data()),
+              static_cast<std::streamsize>(sizes[i]));
+    written = offsets[i] + sizes[i];
+  }
+  out.close();
+  if (!out) {
+    std::remove(tmp_path.c_str());
+    return Status::IoError("write failed: " + tmp_path);
+  }
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    return Status::IoError("cannot rename " + tmp_path + " to " + path);
+  }
+  return Status::OK();
 }
 
 Status LoadParameters(Module* module, const std::string& path) {
@@ -424,30 +336,12 @@ Status LoadParameters(Module* module, const std::string& path) {
     sniff.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   }
   if (magic == kMagicV3) return LoadParametersRfp3(&params, path);
-  if (magic == kMagicV1) {
-    return Status::FailedPrecondition(
-        "unsupported legacy RFP1 checkpoint " + path +
-        ": it records no tensor shapes; only RFP2 and RFP3 are readable");
+  if (magic == kMagicV1 || magic == kMagicV2) {
+    return Status::FailedPrecondition(StringPrintf(
+        "unsupported legacy %s checkpoint %s: only RFP3 is readable",
+        magic == kMagicV1 ? "RFP1" : "RFP2", path.c_str()));
   }
-  std::vector<std::vector<int>> shapes;
-  std::vector<std::vector<float>> values;
-  RF_RETURN_NOT_OK(ReadRfp2File(path, &shapes, &values));
-  RF_RETURN_NOT_OK(CheckShapes(path, shapes, params));
-  for (size_t i = 0; i < params.size(); ++i) {
-    std::copy(values[i].begin(), values[i].end(), params[i].data());
-  }
-  return Status::OK();
-}
-
-Status ConvertRfp2ToRfp3(const std::string& src_path,
-                         const std::string& dst_path) {
-  std::vector<std::vector<int>> shapes;
-  std::vector<std::vector<float>> values;
-  RF_RETURN_NOT_OK(ReadRfp2File(src_path, &shapes, &values));
-  std::vector<const float*> payloads;
-  payloads.reserve(values.size());
-  for (const auto& v : values) payloads.push_back(v.data());
-  return WriteRfp3File(shapes, payloads, dst_path);
+  return Status::IoError("bad parameter file header: " + path);
 }
 
 Status CopyParameters(const Module& source, Module* target) {

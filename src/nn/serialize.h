@@ -10,21 +10,16 @@
 namespace resuformer {
 namespace nn {
 
-/// On-disk parameter layouts. Both are little-endian and self-describing
-/// (shapes in the file); LoadParameters sniffs the magic.
+/// On-disk parameter layout RFP3, little-endian and self-describing: a
+/// header + shape index up front, then 64-byte-aligned raw float32
+/// payloads. Loading maps the file (MAP_PRIVATE, PROT_READ|PROT_WRITE) and
+/// points each parameter at its payload pages — zero-copy, so N replicas on
+/// one host share a single physical copy of the weights and cold start is a
+/// page fault, not a parse. A write (optimizer step) copy-on-writes
+/// privately.
 ///
-///   RFP3  the only layout written: a header + index up front, then
-///         64-byte-aligned raw float32 payloads. Loading maps the file
-///         (MAP_PRIVATE, PROT_READ|PROT_WRITE) and points each parameter
-///         at its payload pages — zero-copy, so N replicas on one host
-///         share a single physical copy of the weights and cold start is a
-///         page fault, not a parse. A write (optimizer step)
-///         copy-on-writes privately.
-///   RFP2  read-only: per-tensor shapes, payloads packed inline after each
-///         record. LoadParameters stream-loads it; ConvertRfp2ToRfp3
-///         rewrites it once into RFP3.
-///
-/// The shape-less RFP1 layout is rejected with FailedPrecondition.
+/// LoadParameters sniffs the magic: the legacy RFP1 and RFP2 layouts are
+/// rejected with FailedPrecondition naming the layout.
 
 /// Writes the module's parameters (in Parameters() order) as RFP3. The
 /// bytes go to `path + ".tmp"`, which is then renamed over `path`: a
@@ -33,20 +28,11 @@ namespace nn {
 [[nodiscard]] Status SaveParameters(const Module& module,
                                     const std::string& path);
 
-/// Loads parameters saved by SaveParameters (or an RFP2 file) into an
-/// identically-shaped module. Every header field is validated against the
-/// actual file size before any payload is read — a truncated or corrupt
-/// file yields FailedPrecondition naming the offending parameter, never a
-/// huge allocation or a silent short read. RFP3 files are mmap'd; RFP2
-/// stream-loads.
+/// Maps a file saved by SaveParameters into an identically-shaped module.
+/// Every header field is validated against the actual file size before any
+/// payload is read — a truncated or corrupt file yields FailedPrecondition
+/// naming the offending parameter, never a read past the end of the file.
 [[nodiscard]] Status LoadParameters(Module* module, const std::string& path);
-
-/// Rewrites an RFP2 checkpoint into the mmap-able RFP3 layout without
-/// needing the module (RFP2 records are self-describing). Validates the
-/// source like LoadParameters does and writes `dst_path` atomically like
-/// SaveParameters.
-[[nodiscard]] Status ConvertRfp2ToRfp3(const std::string& src_path,
-                                       const std::string& dst_path);
 
 /// Copies parameters between two identically-structured modules (used to
 /// clone teacher -> student in the self-distillation loop). InvalidArgument

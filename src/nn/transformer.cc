@@ -8,9 +8,8 @@ namespace nn {
 TransformerEncoderLayer::TransformerEncoderLayer(
     const TransformerConfig& config, Rng* rng)
     : config_(config) {
-  attention_ =
-      std::make_unique<MultiHeadSelfAttention>(config.dim, config.num_heads,
-                                               rng, config.fused_attention);
+  attention_ = std::make_unique<MultiHeadSelfAttention>(config.dim,
+                                                        config.num_heads, rng);
   norm1_ = std::make_unique<LayerNorm>(config.dim);
   ffn1_ = std::make_unique<Linear>(config.dim, config.ffn_dim, rng);
   ffn2_ = std::make_unique<Linear>(config.ffn_dim, config.dim, rng);

@@ -19,9 +19,6 @@ struct TransformerConfig {
   int num_heads = 4;
   int ffn_dim = 64;
   float dropout = 0.1f;
-  // Use the fused attention kernel (see MultiHeadSelfAttention); false
-  // selects the composed-ops reference path.
-  bool fused_attention = true;
 };
 
 /// Post-norm Transformer encoder layer (BERT convention):

@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -332,48 +331,45 @@ Result<std::unique_ptr<ResuFormerPipeline>> ResuFormerPipeline::Load(
   // Verify the checkpoint's manifest against the supplied options before
   // touching the parameter files: a dimension mismatch would otherwise
   // surface as a cryptic tensor-count/shape error (or load garbage).
-  bool has_ner = true;
   std::ifstream manifest(ManifestPath(directory));
   if (!manifest) {
-    RF_LOG(Warning) << "no manifest.txt in " << directory
-                    << "; legacy checkpoint, loading without architecture"
-                       " validation";
-  } else {
-    std::string magic;
-    int version = 0;
-    manifest >> magic >> version;
-    if (magic != "RFMANIFEST") {
-      return Status::FailedPrecondition(
-          ManifestPath(directory) + " is not a checkpoint manifest");
-    }
-    if (version != 1) {
-      return Status::FailedPrecondition(
-          "unsupported manifest format version " + std::to_string(version) +
-          " in " + ManifestPath(directory) + " (this build reads version 1)");
-    }
-    std::map<std::string, int64_t> stored;
-    std::string key;
-    int64_t value = 0;
-    while (manifest >> key >> value) stored[key] = value;
-    const int vocab_size = pipeline->tokenizer_->vocab().size();
-    for (const auto& [field, expected] : ManifestFields(vocab_size, options)) {
-      auto it = stored.find(field);
-      if (it == stored.end()) {
-        return Status::FailedPrecondition(
-            "checkpoint manifest in " + directory + " is missing field '" +
-            field + "'");
-      }
-      if (it->second != expected) {
-        return Status::FailedPrecondition(
-            "checkpoint in " + directory + " was saved with " + field + "=" +
-            std::to_string(it->second) + " but the supplied options expect " +
-            field + "=" + std::to_string(expected) +
-            "; refusing to load a mismatched architecture");
-      }
-    }
-    auto ner_it = stored.find("has_ner");
-    if (ner_it != stored.end()) has_ner = ner_it->second != 0;
+    return Status::FailedPrecondition("cannot open " + ManifestPath(directory) +
+                                      ": a checkpoint needs its manifest");
   }
+  std::string magic;
+  int version = 0;
+  manifest >> magic >> version;
+  if (magic != "RFMANIFEST") {
+    return Status::FailedPrecondition(
+        ManifestPath(directory) + " is not a checkpoint manifest");
+  }
+  if (version != 1) {
+    return Status::FailedPrecondition(
+        "unsupported manifest format version " + std::to_string(version) +
+        " in " + ManifestPath(directory) + " (this build reads version 1)");
+  }
+  std::map<std::string, int64_t> stored;
+  std::string key;
+  int64_t value = 0;
+  while (manifest >> key >> value) stored[key] = value;
+  const int vocab_size = pipeline->tokenizer_->vocab().size();
+  for (const auto& [field, expected] : ManifestFields(vocab_size, options)) {
+    auto it = stored.find(field);
+    if (it == stored.end()) {
+      return Status::FailedPrecondition(
+          "checkpoint manifest in " + directory + " is missing field '" +
+          field + "'");
+    }
+    if (it->second != expected) {
+      return Status::FailedPrecondition(
+          "checkpoint in " + directory + " was saved with " + field + "=" +
+          std::to_string(it->second) + " but the supplied options expect " +
+          field + "=" + std::to_string(expected) +
+          "; refusing to load a mismatched architecture");
+    }
+  }
+  auto ner_it = stored.find("has_ner");
+  const bool has_ner = ner_it == stored.end() || ner_it->second != 0;
 
   Rng rng(options.seed);  // architecture init; weights overwritten below
   core::ResuFormerConfig model_cfg = options.model;

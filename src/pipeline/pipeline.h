@@ -132,11 +132,11 @@ class ResuFormerPipeline {
 
   /// Persists the trained pipeline (vocabulary + both models' parameters
   /// as RFP3, see nn/serialize.h) into `directory` (must exist), plus a
-  /// manifest recording the vocab size and model dimensions. Load() requires the same PipelineOptions
-  /// used for training; with a manifest present it verifies the options
-  /// against it and fails with FailedPrecondition (naming the mismatched
-  /// field) instead of deserializing garbage. Checkpoints predating the
-  /// manifest load with a warning.
+  /// manifest.txt recording the vocab size and model dimensions. Load()
+  /// requires the same PipelineOptions used for training: it verifies them
+  /// against the manifest and fails with FailedPrecondition (naming the
+  /// mismatched field) instead of deserializing garbage. A directory
+  /// without manifest.txt is refused with FailedPrecondition naming it.
   [[nodiscard]] Status Save(const std::string& directory) const;
   [[nodiscard]] static Result<std::unique_ptr<ResuFormerPipeline>> Load(
       const std::string& directory, const PipelineOptions& options);

@@ -46,52 +46,31 @@ TensorArena::TensorArena() {
   cached_bytes_ = registry.GetGauge("arena.cached_bytes");
 }
 
-void TensorArena::SetEnabled(bool enabled) {
+std::vector<float> TensorArena::Acquire(int64_t n) {
   std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = enabled;
-}
-
-bool TensorArena::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
-}
-
-std::vector<float> TensorArena::Acquire(int64_t n, bool* from_arena) {
-  if (from_arena != nullptr) *from_arena = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (enabled_) {
-      const int cls = CeilClassIndex(n, kMinClassLog2, kMaxClassLog2);
-      if (cls >= 0 && !free_lists_[cls].empty()) {
-        std::vector<float> buf = std::move(free_lists_[cls].back());
-        free_lists_[cls].pop_back();
-        cached_bytes_->Add(-static_cast<int64_t>(buf.capacity()) *
-                           static_cast<int64_t>(sizeof(float)));
-        hits_->Increment();
-        ++t_hits;
-        outstanding_->Add(1);
-        bytes_recycled_->Increment(n * static_cast<int64_t>(sizeof(float)));
-        if (from_arena != nullptr) *from_arena = true;
-        // Capacity >= class size >= n, so this fill never reallocates.
-        buf.assign(static_cast<size_t>(n), 0.0f);
-        return buf;
-      }
-      misses_->Increment();
-      ++t_misses;
-      outstanding_->Add(1);
-      if (from_arena != nullptr) *from_arena = true;
-      // Reserve the full class so the buffer files back into the same
-      // class on release (oversized requests reserve exactly n).
-      std::vector<float> buf;
-      buf.reserve(static_cast<size_t>(
-          cls >= 0 ? int64_t{1} << (cls + kMinClassLog2) : n));
-      buf.assign(static_cast<size_t>(n), 0.0f);
-      return buf;
-    }
-    misses_->Increment();
-    ++t_misses;
+  outstanding_->Add(1);
+  const int cls = CeilClassIndex(n, kMinClassLog2, kMaxClassLog2);
+  if (cls >= 0 && !free_lists_[cls].empty()) {
+    std::vector<float> buf = std::move(free_lists_[cls].back());
+    free_lists_[cls].pop_back();
+    cached_bytes_->Add(-static_cast<int64_t>(buf.capacity()) *
+                       static_cast<int64_t>(sizeof(float)));
+    hits_->Increment();
+    ++t_hits;
+    bytes_recycled_->Increment(n * static_cast<int64_t>(sizeof(float)));
+    // Capacity >= class size >= n, so this fill never reallocates.
+    buf.assign(static_cast<size_t>(n), 0.0f);
+    return buf;
   }
-  return std::vector<float>(static_cast<size_t>(n), 0.0f);
+  misses_->Increment();
+  ++t_misses;
+  // Reserve the full class so the buffer files back into the same class on
+  // release (oversized requests reserve exactly n).
+  std::vector<float> buf;
+  buf.reserve(static_cast<size_t>(
+      cls >= 0 ? int64_t{1} << (cls + kMinClassLog2) : n));
+  buf.assign(static_cast<size_t>(n), 0.0f);
+  return buf;
 }
 
 void TensorArena::Release(std::vector<float>&& buffer, bool was_acquired) {
@@ -99,7 +78,6 @@ void TensorArena::Release(std::vector<float>&& buffer, bool was_acquired) {
   if (!was_acquired) return;
   std::lock_guard<std::mutex> lock(mu_);
   outstanding_->Add(-1);
-  if (!enabled_) return;
   const int64_t capacity = static_cast<int64_t>(local.capacity());
   const int cls = FloorClassIndex(capacity, kMinClassLog2, kMaxClassLog2);
   if (cls < 0) return;  // below the minimum class: not worth caching
@@ -147,11 +125,8 @@ void TensorArena::SetBudgetBytes(int64_t bytes) {
   budget_bytes_ = bytes;
 }
 
-ArenaBuffer::ArenaBuffer(int64_t n) {
-  // Assigned in the body: an init-list Acquire(n, &from_arena_) would have
-  // its write overwritten by from_arena_'s own (later) default initializer.
-  buffer_ = TensorArena::Global().Acquire(n, &from_arena_);
-}
+ArenaBuffer::ArenaBuffer(int64_t n)
+    : buffer_(TensorArena::Global().Acquire(n)), from_arena_(true) {}
 
 ArenaBuffer::~ArenaBuffer() {
   if (!buffer_.empty() || from_arena_) {

@@ -46,7 +46,7 @@ class TensorArena {
 
   /// Counters since the last ResetStats(). `outstanding` tracks buffers
   /// currently held by live tensors (Acquire minus Release of acquired
-  /// buffers) — zero once every tensor from an arena-enabled run is gone.
+  /// buffers) — zero once every tensor acquired from the arena is gone.
   /// The values live on the process MetricsRegistry ("arena.hits",
   /// "arena.misses", "arena.bytes_recycled" counters; "arena.outstanding",
   /// "arena.cached_bytes" gauges), so metrics snapshots and this struct
@@ -70,20 +70,14 @@ class TensorArena {
   };
   static ThreadStats thread_stats();
 
-  /// Enables/disables recycling. Disabled, Acquire degrades to a plain
-  /// zero-filled allocation (still counted as a miss) and Release frees.
-  void SetEnabled(bool enabled);
-  bool enabled() const;
+  /// Zero-filled vector of size n (capacity >= n). Return it via
+  /// Release(..., /*was_acquired=*/true) for the outstanding count to
+  /// balance.
+  [[nodiscard]] std::vector<float> Acquire(int64_t n);
 
-  /// Zero-filled vector of size n (capacity >= n). `from_arena` (optional)
-  /// reports whether the buffer must be returned via Release(..., true)
-  /// for the outstanding count to balance.
-  [[nodiscard]] std::vector<float> Acquire(int64_t n, bool* from_arena = nullptr);
-
-  /// Returns a buffer to the free lists (or frees it when disabled / over
-  /// budget / below the minimum class). `was_acquired` must be the value
-  /// reported by Acquire for this buffer; foreign buffers pass false and
-  /// are freed, never parked.
+  /// Returns a buffer to the free lists (or frees it when over budget /
+  /// below the minimum class). `was_acquired` is true for buffers Acquire
+  /// handed out; foreign buffers pass false and are freed, never parked.
   void Release(std::vector<float>&& buffer, bool was_acquired);
 
   Stats stats() const;
@@ -104,7 +98,6 @@ class TensorArena {
   static constexpr int kNumClasses = kMaxClassLog2 - kMinClassLog2 + 1;
 
   mutable std::mutex mu_;
-  bool enabled_ = true;
   int64_t budget_bytes_ = 256LL << 20;
   std::vector<std::vector<float>> free_lists_[kNumClasses];
 

@@ -235,49 +235,6 @@ void GemmNTI8(const int8_t* a, int lda, const int8_t* b, int ldb, int32_t* c,
   }
 }
 
-void GemmNNI8(const int8_t* a, int lda, const int8_t* b, int ldb, int32_t* c,
-              int ldc, int d, int bn, int64_t r0, int64_t r1) {
-  RF_DCHECK_GE(lda, d);
-  RF_DCHECK_GE(ldb, bn);
-  RF_DCHECK_GE(ldc, bn);
-  RF_DCHECK(0 <= r0 && r0 <= r1) << r0 << " vs " << r1;
-  for (int t0 = 0; t0 < d; t0 += kKB) {
-    const int t1 = std::min(d, t0 + kKB);
-    for (int j0 = 0; j0 < bn; j0 += kJB) {
-      const int j1 = std::min(bn, j0 + kJB);
-      for (int64_t i = r0; i < r1; ++i) {
-        const int8_t* arow = a + i * lda;
-        int32_t* crow = c + i * ldc;
-        for (int t = t0; t < t1; ++t) {
-          const int32_t av = arow[t];
-          const int8_t* brow = b + static_cast<int64_t>(t) * ldb;
-          for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
-void GemmTNI8(const int8_t* a, int lda, const int8_t* b, int ldb, int32_t* c,
-              int ldc, int d, int bn, int64_t r0, int64_t r1) {
-  RF_DCHECK_GE(lda, r1);  // A is [d, *]: its rows must span the C rows used
-  RF_DCHECK_GE(ldb, bn);
-  RF_DCHECK_GE(ldc, bn);
-  RF_DCHECK(0 <= r0 && r0 <= r1) << r0 << " vs " << r1;
-  for (int j0 = 0; j0 < bn; j0 += kJB) {
-    const int j1 = std::min(bn, j0 + kJB);
-    for (int t = 0; t < d; ++t) {
-      const int8_t* arow = a + static_cast<int64_t>(t) * lda;
-      const int8_t* brow = b + static_cast<int64_t>(t) * ldb;
-      for (int64_t i = r0; i < r1; ++i) {
-        const int32_t av = arow[i];
-        int32_t* crow = c + i * ldc;
-        for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
 void ScaleAddSoftmaxRow(float* row, const float* bias, int n, float scale) {
   RF_DCHECK_GT(n, 0) << "softmax over an empty row";
   if (bias != nullptr) {

@@ -48,26 +48,18 @@ void GemmTN(const float* a, int lda, const float* b, int ldb, float* c,
 void GemmNTVec(const float* a, int lda, const float* b, int ldb, float* c,
                int ldc, int bn, int d, int64_t r0, int64_t r1);
 
-// -- Int8 GEMM variants (tensor/quant.h provides the scales). ---------------
+// -- Int8 GEMM (tensor/quant.h provides the scales). -------------------------
 //
 // Same stride/row-range contract as the fp32 kernels above: ACCUMULATE into
 // C, explicit leading dimensions, writes restricted to rows [r0, r1).
 // Accumulation is int32 (exact for d <= quant::kMaxI8ReduceDim), so unlike
-// the fp32 family these kernels are free to reassociate: integer addition
-// is associative and the result is bit-exact regardless of lane order.
+// the fp32 family this kernel is free to reassociate: integer addition is
+// associative and the result is bit-exact regardless of lane order.
 
 /// C[i, j] += sum_t A[i, t] * B[j, t] (int8 operands, int32 accumulation).
 /// A is [*, d] with row stride lda, B is [bn, d] with row stride ldb.
 void GemmNTI8(const int8_t* a, int lda, const int8_t* b, int ldb, int32_t* c,
               int ldc, int bn, int d, int64_t r0, int64_t r1);
-
-/// C[i, j] += sum_t A[i, t] * B[t, j]. A is [*, d], B is [d, bn].
-void GemmNNI8(const int8_t* a, int lda, const int8_t* b, int ldb, int32_t* c,
-              int ldc, int d, int bn, int64_t r0, int64_t r1);
-
-/// C[i, j] += sum_t A[t, i] * B[t, j]. A is [d, *], B is [d, bn].
-void GemmTNI8(const int8_t* a, int lda, const int8_t* b, int ldb, int32_t* c,
-              int ldc, int d, int bn, int64_t r0, int64_t r1);
 
 /// In-place fused row kernel: row[j] = softmax(row[j] * scale + bias[j])
 /// with the usual max-subtraction. `bias` may be null (no addition). The

@@ -21,8 +21,8 @@ namespace quant {
 //
 // Weights are quantized ONCE at plan-build time (plan::Recorder::Finish)
 // and cached in the plan as `QuantizedTensor`s; activations are quantized
-// dynamically per replay inside LinearI8Forward. The int8 GEMM kernels
-// themselves live in tensor/kernels.h (GemmNTI8 / GemmNNI8 / GemmTNI8).
+// dynamically per replay inside LinearI8Forward. The int8 GEMM kernel
+// itself lives in tensor/kernels.h (GemmNTI8).
 //
 // Error bound: |x - Dequantize(Quantize(x))| <= s/2 element-wise whenever
 // |x| <= max|x| (always true for the tensor that defined s). The property

@@ -37,8 +37,8 @@ bool NoGradGuard::GradEnabled() { return g_grad_enabled; }
 
 Tensor Tensor::Zeros(std::vector<int> shape, bool requires_grad) {
   auto impl = std::make_shared<TensorImpl>();
-  impl->data =
-      TensorArena::Global().Acquire(ShapeProduct(shape), &impl->data_from_arena);
+  impl->data = TensorArena::Global().Acquire(ShapeProduct(shape));
+  impl->data_from_arena = true;
   impl->shape = std::move(shape);
   impl->requires_grad = requires_grad;
   return Tensor(std::move(impl));

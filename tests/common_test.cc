@@ -324,12 +324,12 @@ TEST(RuntimeOptionsEnvTest, TraceCapacityRangeChecked) {
 
 TEST(RuntimeOptionsEnvTest, BoolKnobsParseCommonSpellings) {
   {
-    ScopedEnv env("RESUFORMER_TENSOR_ARENA", "off");
-    EXPECT_FALSE(RuntimeOptions::FromEnv().use_tensor_arena);
+    ScopedEnv env("RESUFORMER_TRACE", "off");
+    EXPECT_FALSE(RuntimeOptions::FromEnv().enable_tracing);
   }
   {
-    ScopedEnv env("RESUFORMER_TENSOR_ARENA", "1");
-    EXPECT_TRUE(RuntimeOptions::FromEnv().use_tensor_arena);
+    ScopedEnv env("RESUFORMER_TRACE", "1");
+    EXPECT_TRUE(RuntimeOptions::FromEnv().enable_tracing);
   }
   {
     ScopedEnv env("RESUFORMER_METRICS", "TRUE");

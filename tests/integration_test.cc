@@ -6,15 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/block_classifier.h"
-#include "nn/serialize.h"
 #include "pipeline/pipeline.h"
-#include "rfp2_writer.h"
 
 namespace resuformer {
 namespace pipeline {
@@ -220,13 +217,6 @@ StructuredResume ParseOne(const ResuFormerPipeline& pipeline,
   return std::move(response.resume);
 }
 
-std::string FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
-}
-
 TEST(PipelineJsonTest, PrettyStringIsStrictJsonAndRoundTripsEscapes) {
   // Every class of character the escaper must handle: quotes, backslashes,
   // newlines, tabs, and a raw control byte. The old renderer spliced these
@@ -416,34 +406,6 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
   std::cout << "[int8-gate] block accuracy fp32=" << fp32_acc
             << " int8=" << int8_acc << " entity_f1=" << entity_f1 << "\n";
 
-  // ----- RFP2 checkpoints stay readable -----------------------------------
-  // Save wrote RFP3, so `loaded` runs on mmap'd weights. Rewrite both
-  // models as RFP2 (test-only writer): the stream-loaded pipeline must parse
-  // identically, and converting its files must reproduce Save's bytes.
-  const std::string rfp2_dir = dir + "/rfp2_ckpt";
-  std::filesystem::create_directories(rfp2_dir);
-  ASSERT_TRUE(pipeline->Save(rfp2_dir).ok());
-  const std::vector<std::pair<std::string, const nn::Module*>> models = {
-      {"block", &pipeline->block_classifier()},
-      {"ner", &pipeline->ner_model()}};
-  for (const auto& [name, model] : models) {
-    const std::string rfp2 = rfp2_dir + "/" + name + ".bin";
-    ASSERT_TRUE(resuformer::testing::WriteRfp2ForTest(*model, rfp2));
-    const std::string converted = rfp2_dir + "/" + name + ".rfp3";
-    ASSERT_TRUE(nn::ConvertRfp2ToRfp3(rfp2, converted).ok());
-    EXPECT_EQ(FileBytes(converted), FileBytes(dir + "/" + name + ".bin"))
-        << name;
-  }
-  auto rfp2_pipe = ResuFormerPipeline::Load(rfp2_dir, TinyOptions());
-  ASSERT_TRUE(rfp2_pipe.ok()) << rfp2_pipe.status().ToString();
-  for (const auto& labeled : corpus.test) {
-    const StructuredResume mmap_parse = ParseOne(**loaded, labeled.document);
-    const StructuredResume stream_parse =
-        ParseOne(**rfp2_pipe, labeled.document);
-    EXPECT_EQ(ResuFormerPipeline::ToPrettyString(stream_parse),
-              ResuFormerPipeline::ToPrettyString(mmap_parse));
-  }
-
   // Save wrote an architecture manifest alongside the parameters.
   std::ifstream manifest(dir + "/manifest.txt");
   ASSERT_TRUE(manifest.good());
@@ -470,14 +432,15 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
             std::string::npos)
       << ner_mismatched.status().ToString();
 
-  // A checkpoint predating the manifest (legacy layout) still loads: the
-  // options are trusted, as before this format existed.
+  // Without its manifest a checkpoint is refused, naming the missing file:
+  // the options could not be checked against the saved architecture.
   ASSERT_EQ(std::remove((dir + "/manifest.txt").c_str()), 0);
-  auto legacy = ResuFormerPipeline::Load(dir, TinyOptions());
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  const StructuredResume legacy_parsed =
-      ParseOne(**legacy, corpus.test[0].document);
-  EXPECT_EQ(legacy_parsed.blocks.size(), parsed.blocks.size());
+  auto manifestless = ResuFormerPipeline::Load(dir, TinyOptions());
+  ASSERT_FALSE(manifestless.ok());
+  EXPECT_EQ(manifestless.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(manifestless.status().message().find("manifest.txt"),
+            std::string::npos)
+      << manifestless.status().ToString();
   std::filesystem::remove_all(dir);
 }
 

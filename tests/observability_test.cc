@@ -305,15 +305,11 @@ TEST_F(TraceTest, ResetDiscardsSpans) {
 
 TEST(RuntimeOptionsTest, DefaultsWhenEnvUnset) {
   unsetenv("RESUFORMER_THREADS");
-  unsetenv("RESUFORMER_FUSED_ATTENTION");
-  unsetenv("RESUFORMER_TENSOR_ARENA");
   unsetenv("RESUFORMER_METRICS");
   unsetenv("RESUFORMER_TRACE");
   unsetenv("RESUFORMER_TRACE_CAPACITY");
   const RuntimeOptions options = RuntimeOptions::FromEnv();
   EXPECT_EQ(options.threads, 0);
-  EXPECT_TRUE(options.use_fused_attention);
-  EXPECT_TRUE(options.use_tensor_arena);
   EXPECT_FALSE(options.enable_metrics);
   EXPECT_FALSE(options.enable_tracing);
   EXPECT_EQ(options.trace_buffer_capacity, 8192);
@@ -321,21 +317,15 @@ TEST(RuntimeOptionsTest, DefaultsWhenEnvUnset) {
 
 TEST(RuntimeOptionsTest, EnvOverridesApply) {
   setenv("RESUFORMER_THREADS", "3", 1);
-  setenv("RESUFORMER_FUSED_ATTENTION", "off", 1);
-  setenv("RESUFORMER_TENSOR_ARENA", "0", 1);
   setenv("RESUFORMER_METRICS", "1", 1);
   setenv("RESUFORMER_TRACE", "true", 1);
   setenv("RESUFORMER_TRACE_CAPACITY", "1024", 1);
   const RuntimeOptions options = RuntimeOptions::FromEnv();
   EXPECT_EQ(options.threads, 3);
-  EXPECT_FALSE(options.use_fused_attention);
-  EXPECT_FALSE(options.use_tensor_arena);
   EXPECT_TRUE(options.enable_metrics);
   EXPECT_TRUE(options.enable_tracing);
   EXPECT_EQ(options.trace_buffer_capacity, 1024);
   unsetenv("RESUFORMER_THREADS");
-  unsetenv("RESUFORMER_FUSED_ATTENTION");
-  unsetenv("RESUFORMER_TENSOR_ARENA");
   unsetenv("RESUFORMER_METRICS");
   unsetenv("RESUFORMER_TRACE");
   unsetenv("RESUFORMER_TRACE_CAPACITY");

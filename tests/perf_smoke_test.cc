@@ -1,18 +1,14 @@
 // Bounded-runtime smoke tests for the inference fast path (ctest label
-// perf_smoke): one batched-inference iteration over generated resumes,
-// asserting the fused attention path matches the composed reference within
-// 1e-5 and that the batched Parse reproduces serial Parse exactly.
+// perf_smoke): the batched Parse over generated resumes reproduces serial
+// Parse exactly, and disabled instrumentation stays near-free.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
-#include "core/hierarchical_encoder.h"
 #include "pipeline/pipeline.h"
 #include "resumegen/corpus.h"
 #include "tensor/arena.h"
@@ -41,63 +37,6 @@ core::ResuFormerConfig SmallModelConfig() {
   cfg.max_sentences = 32;
   cfg.lstm_hidden = 12;
   return cfg;
-}
-
-TEST(PerfSmokeTest, BatchedInferenceFusedMatchesReference) {
-  const resumegen::Corpus corpus = SmallCorpus();
-  const text::WordPieceTokenizer tokenizer =
-      resumegen::TrainTokenizer(corpus, 400);
-
-  core::ResuFormerConfig fused_cfg = SmallModelConfig();
-  fused_cfg.vocab_size = tokenizer.vocab().size();
-  fused_cfg.runtime.use_fused_attention = true;
-  core::ResuFormerConfig ref_cfg = fused_cfg;
-  ref_cfg.runtime.use_fused_attention = false;
-
-  // Same seed -> identical weights; only the attention execution path
-  // differs.
-  Rng rng_fused(5), rng_ref(5);
-  core::HierarchicalEncoder fused(fused_cfg, &rng_fused);
-  core::HierarchicalEncoder reference(ref_cfg, &rng_ref);
-  fused.SetTraining(false);
-  reference.SetTraining(false);
-
-  std::vector<core::EncodedDocument> docs;
-  for (const resumegen::GeneratedResume& r : corpus.test) {
-    docs.push_back(core::EncodeForModel(r.document, tokenizer, fused_cfg));
-  }
-  ASSERT_FALSE(docs.empty());
-
-  // Reference pass, serial over documents.
-  std::vector<Tensor> ref_out(docs.size());
-  {
-    NoGradGuard no_grad;
-    for (size_t i = 0; i < docs.size(); ++i) {
-      ref_out[i] = reference.Encode(docs[i], nullptr);
-    }
-  }
-
-  // One batched fused-inference iteration: documents fanned across the
-  // pool, per-worker NoGradGuard (the same mechanics as the batched
-  // ResuFormerPipeline::Parse).
-  std::vector<Tensor> fused_out(docs.size());
-  ThreadPool::Global().ParallelFor(
-      static_cast<int64_t>(docs.size()),
-      [&](int /*worker*/, int64_t begin, int64_t end) {
-        NoGradGuard no_grad;
-        for (int64_t i = begin; i < end; ++i) {
-          fused_out[i] = fused.Encode(docs[i], nullptr);
-        }
-      });
-
-  for (size_t d = 0; d < docs.size(); ++d) {
-    ASSERT_TRUE(fused_out[d].defined());
-    ASSERT_EQ(fused_out[d].shape(), ref_out[d].shape());
-    for (int64_t i = 0; i < ref_out[d].size(); ++i) {
-      ASSERT_NEAR(fused_out[d].data()[i], ref_out[d].data()[i], 1e-5f)
-          << "doc " << d << " element " << i;
-    }
-  }
 }
 
 TEST(PerfSmokeTest, ParseBatchMatchesSerialParse) {

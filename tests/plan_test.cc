@@ -197,7 +197,6 @@ TEST(InferencePlanTest, ReplayAgreesAcrossThreadCounts) {
 TEST(InferencePlanTest, SteadyStateReplayNeverMissesTheArena) {
   auto& fx = GetFixture();
   ThreadPool::Global().SetNumThreads(1);
-  TensorArena::Global().SetEnabled(true);
   const EncodedDocument& document = fx.documents[0];
 
   // Warm-up: builds the plans and seeds the workspace size classes.

@@ -242,12 +242,11 @@ TEST(StressArena, AcquireReleaseChurnBalancesOutstanding) {
         // Mix of size classes, including below-minimum and byte-exact
         // power-of-two sizes, so free lists grow, hit, and drop.
         const int64_t n = int64_t{16} << ((i + t) % 10);
-        bool from_arena = false;
-        std::vector<float> buf = a.Acquire(n, &from_arena);
+        std::vector<float> buf = a.Acquire(n);
         ASSERT_EQ(static_cast<int64_t>(buf.size()), n);
         ASSERT_EQ(buf[0], 0.0f);  // Acquire promises zero-filled storage
         buf[0] = 1.0f;
-        a.Release(std::move(buf), from_arena);
+        a.Release(std::move(buf), /*was_acquired=*/true);
       }
     });
   }

@@ -37,7 +37,7 @@
 //   --trace-out FILE     enable tracing, write a chrome://tracing JSON file
 //   --metrics-out FILE   enable timed metrics, write a metrics snapshot JSON
 //   --threads N          thread-pool width (0 = auto)
-//   --use-int8           int8 GEMMs in sentence-plan replay
+//   --use-int8           int8 sentence-tower Linear layers
 //                        (RESUFORMER_USE_INT8)
 // With no subcommand, train-and-parse runs — `resuformer_cli --trace-out
 // t.json` captures a trace of the full pipeline.

@@ -10,7 +10,7 @@
 #   scripts/check.sh --full   tier-1, then the ASan+UBSan and TSan suites
 #                             (separate build trees via CMakePresets.json;
 #                             TSan also runs the `stress` label and reruns
-#                             the `serve`, `observability` and `plan`
+#                             the `serve`, `observability` and `packed`
 #                             labels)
 #   scripts/check.sh --lint-only
 #                             fast path: build only rf_lint, run it over the
@@ -90,11 +90,11 @@ if [[ "${full}" == "1" ]]; then
   # (admission queue + worker pool + per-connection handler threads), and
   # the observability plane (lock-free metrics, rolling histograms, tracer
   # rings) is read concurrently by the kStats admin path, and every
-  # concurrent parse shares the encoder's sentence-plan cache; rerun all
-  # three suites under TSan explicitly so they cannot silently fall out of
-  # the stress label.
-  echo "==> [tsan] serve+observability+plan focused rerun"
-  ctest --preset tsan -L 'serve|observability|plan' --output-on-failure \
+  # concurrent parse shares one encoder, whose int8 Linears quantize their
+  # weights on first use; rerun all three suites under TSan explicitly so
+  # they cannot silently fall out of the stress label.
+  echo "==> [tsan] serve+observability+packed focused rerun"
+  ctest --preset tsan -L 'serve|observability|packed' --output-on-failure \
     -j "${jobs}"
 fi
 

@@ -77,7 +77,7 @@ Tensor HiBertCrf::Emissions(const Encoded& doc, Rng* dropout_rng) const {
     }
     Tensor x = ops::Add(token_embedding_->Forward(ids),
                         token_position_->Forward(positions));
-    Tensor states = sentence_encoder_->Forward(x, Tensor(), dropout_rng);
+    Tensor states = sentence_encoder_->Forward(x, {}, dropout_rng);
     reps.push_back(ops::SliceRows(states, 0, 1));  // [CLS]
   }
   Tensor h = ops::ConcatRows(reps);
@@ -87,7 +87,7 @@ Tensor HiBertCrf::Emissions(const Encoded& doc, Rng* dropout_rng) const {
         std::min(static_cast<int>(i), config_.max_sentences - 1);
   }
   h = ops::Add(h, sentence_position_->Forward(sentence_positions));
-  Tensor contextual = document_encoder_->Forward(h, Tensor(), dropout_rng);
+  Tensor contextual = document_encoder_->Forward(h, {}, dropout_rng);
   return head_->Forward(contextual);
 }
 

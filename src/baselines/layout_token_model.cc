@@ -128,7 +128,7 @@ Tensor TokenTaggerBase::WindowStates(const TokenizedDoc& doc, int start,
     }
     x = ops::Add(x, visual_projection_->Forward(channels));
   }
-  return encoder_->Forward(x, Tensor(), dropout_rng);
+  return encoder_->Forward(x, {}, dropout_rng);
 }
 
 Tensor TokenTaggerBase::ContextualStates(const TokenizedDoc& doc,

@@ -21,7 +21,7 @@ namespace resuformer {
 /// `RuntimeOptions::FromEnv()` — instead of scattered getenv calls:
 ///
 ///   RESUFORMER_THREADS          int    worker threads (>=1; 0 = auto)
-///   RESUFORMER_USE_INT8         0/1    int8 GEMMs in sentence-plan replay
+///   RESUFORMER_USE_INT8         0/1    int8 sentence-tower Linear layers
 ///   RESUFORMER_METRICS          0/1    timed metrics (histograms/timers)
 ///   RESUFORMER_TRACE            0/1    scoped-span tracing
 ///
@@ -45,25 +45,27 @@ struct RuntimeOptions {
 
   // Single-path decisions nothing can change: attention always runs
   // ops::FusedMultiHeadAttention (nn/attention.h), tensor storage always
-  // recycles through the TensorArena (tensor/arena.h), block-classification
-  // inference always replays sentence plans (core/hierarchical_encoder.h),
-  // and checkpoints are always written in the mmap-able RFP3 layout
-  // (nn/serialize.h). The constants stay so that tools printing every knob
-  // (perfbench's run header) keep building and record what ran.
+  // recycles through the TensorArena (tensor/arena.h), and checkpoints are
+  // always written in the mmap-able RFP3 layout (nn/serialize.h). The
+  // constants stay so that tools printing every knob (perfbench's run
+  // header) keep building and record what ran. use_inference_plan is kept
+  // only because perfbench prints it: no inference plan exists any more —
+  // block-classification inference packs each document's sentences into
+  // one forward of the sentence tower (core/hierarchical_encoder.h).
   static constexpr bool use_fused_attention = true;
   static constexpr bool use_tensor_arena = true;
   static constexpr bool use_inference_plan = true;
   static constexpr bool save_rfp3 = true;
 
-  // Quantize the constant-weight GEMMs of the sentence-plan replay (Linear
-  // layers, attention projections) to per-tensor symmetric int8 with int32
-  // accumulation: weights are quantized once at plan-build time,
-  // activations dynamically per replay (see tensor/quant.h). The document
-  // tower, and any document whose sentences fall back to the dynamic ops,
-  // stay fp32. Applies to every eval-mode forward under NoGradGuard,
-  // fine-tune validation included. Output is NOT bit-identical to fp32 —
-  // the tier-1 accuracy gate bounds the block-accuracy / NER-F1 deltas —
-  // but is deterministic at any thread count. Default off.
+  // Run the sentence tower's Linear layers (attention q/k/v/o, the FFN and
+  // the sentence dense layer) as symmetric int8 GEMMs with int32
+  // accumulation: each weight is quantized per tensor on first use (and
+  // again after SetTraining), activations per row (see tensor/quant.h,
+  // nn/linear.h). The document tower stays fp32. Applies to every
+  // eval-mode forward under NoGradGuard, fine-tune validation included.
+  // Output is NOT bit-identical to fp32 — the tier-1 accuracy gate bounds
+  // the block-accuracy / NER-F1 deltas — but is deterministic at any thread
+  // count and the same for a sentence alone or packed. Default off.
   bool use_int8 = false;
 
   // Enables the *timed* metrics (latency histograms, thread-pool queue-wait
@@ -89,8 +91,8 @@ struct RuntimeOptions {
   // Admitted-but-unclaimed requests beyond this bound are rejected with
   // ResourceExhausted (backpressure), never silently queued.
   int serve_queue_capacity = 256;
-  // Server worker threads draining the queue. Each worker replays the shared
-  // plan cache; per-document tensor kernels run inline on the worker.
+  // Server worker threads draining the queue. Each worker reads the shared
+  // model; per-document tensor kernels run inline on the worker.
   int serve_workers = 2;
 
   // --- serving observability plane (PR 9) ----------------------------------

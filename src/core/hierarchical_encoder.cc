@@ -1,42 +1,20 @@
 #include "core/hierarchical_encoder.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/trace.h"
 #include "doc/geometry.h"
 #include "tensor/ops.h"
-#include "tensor/plan.h"
 
 namespace resuformer {
 namespace core {
 
 namespace {
 
-struct PlanMetrics {
-  metrics::Counter* cache_hits;
-  metrics::Counter* cache_misses;
-  metrics::Counter* builds;
-  metrics::Counter* fallbacks;
-  metrics::Histogram* replay_us;
-};
-
-PlanMetrics& Metrics() {
-  static PlanMetrics m = [] {
-    auto& reg = metrics::MetricsRegistry::Global();
-    return PlanMetrics{reg.GetCounter("plan.cache_hits"),
-                       reg.GetCounter("plan.cache_misses"),
-                       reg.GetCounter("plan.builds"),
-                       reg.GetCounter("plan.fallbacks"),
-                       reg.GetHistogram("plan.replay_us")};
-  }();
-  return m;
-}
-
 /// Bucket ids of layout feature `feature` across `tuples`: [0, 1000]
-/// coordinates into [0, buckets). The layout embedding gathers these, and
-/// a sentence-plan replay binds them.
+/// coordinates into [0, buckets), the rows the layout embedding gathers.
 void FillLayoutIds(const std::vector<LayoutTuple>& tuples, int feature,
                    int buckets, std::vector<int>* ids) {
   ids->resize(tuples.size());
@@ -128,6 +106,10 @@ HierarchicalEncoder::HierarchicalEncoder(const ResuFormerConfig& config,
                                 config.ffn, config.dropout};
   document_encoder_ = std::make_unique<nn::TransformerEncoder>(doc_cfg, rng);
   mask_vector_ = RegisterParameter(Tensor::Randn({1, d}, rng, 0.02f));
+  // use_int8 covers the sentence tower's Linear layers; the document tower
+  // and the fusion stay fp32.
+  sentence_encoder_->SetInt8(config.runtime.use_int8);
+  sentence_dense_->SetInt8(config.runtime.use_int8);
 
   RegisterModule(token_embedding_.get());
   RegisterModule(token_position_embedding_.get());
@@ -147,33 +129,30 @@ Tensor HierarchicalEncoder::LayoutEmbedding(
   Tensor total;
   for (int f = 0; f < 7; ++f) {
     FillLayoutIds(tuples, f, config_.layout_buckets, &ids);
-    // Capture point: layout bucket ids vary per document, so a plan trace
-    // rebinds this gather under the per-feature role.
-    plan::AnnotateNextGather(plan::kRoleLayout0 + f);
     Tensor emb = layout_embeddings_[f]->Forward(ids);
     total = total.defined() ? ops::Add(total, emb) : emb;
   }
   return total;
 }
 
+Tensor HierarchicalEncoder::TokenInput(
+    const std::vector<int>& ids, const std::vector<int>& positions,
+    const std::vector<LayoutTuple>& layout) const {
+  const std::vector<int> segments(ids.size(), 0);  // single-segment: [A]
+  Tensor x = token_embedding_->Forward(ids);                    // Eq. 1
+  x = ops::Add(x, token_position_embedding_->Forward(positions));
+  x = ops::Add(x, segment_embedding_->Forward(segments));
+  return ops::Add(x, LayoutEmbedding(layout));                  // Eq. 2
+}
+
 Tensor HierarchicalEncoder::SentenceTokenStates(
     const EncodedSentence& sentence, const std::vector<int>& ids,
     Rng* dropout_rng) const {
   RF_CHECK_EQ(ids.size(), sentence.token_layout.size());
-  const int t_len = static_cast<int>(ids.size());
-  std::vector<int> positions(t_len);
-  for (int i = 0; i < t_len; ++i) positions[i] = i;
-  std::vector<int> segments(t_len, 0);  // single-segment sentences: [A]
-
-  // Capture point: token ids are the replay-variable input of a sentence
-  // plan. Positions and segments are T-determined, so their gathers stay
-  // literal in the trace.
-  plan::AnnotateNextGather(plan::kRoleTokenIds);
-  Tensor x = token_embedding_->Forward(ids);                    // Eq. 1
-  x = ops::Add(x, token_position_embedding_->Forward(positions));
-  x = ops::Add(x, segment_embedding_->Forward(segments));
-  x = ops::Add(x, LayoutEmbedding(sentence.token_layout));      // Eq. 2
-  return sentence_encoder_->Forward(x, Tensor(), dropout_rng);
+  std::vector<int> positions(ids.size());
+  std::iota(positions.begin(), positions.end(), 0);
+  return sentence_encoder_->Forward(
+      TokenInput(ids, positions, sentence.token_layout), {}, dropout_rng);
 }
 
 Tensor HierarchicalEncoder::SentenceRepresentation(
@@ -182,6 +161,27 @@ Tensor HierarchicalEncoder::SentenceRepresentation(
   Tensor states = SentenceTokenStates(sentence, ids, dropout_rng);
   // [CLS] state -> dense -> L2 normalize (Figure 2).
   Tensor cls = ops::SliceRows(states, 0, 1);
+  return ops::L2NormalizeRows(sentence_dense_->Forward(cls));
+}
+
+Tensor HierarchicalEncoder::PackedSentences(const EncodedDocument& document,
+                                            size_t begin, size_t end) const {
+  std::vector<int> ids, positions, offsets;
+  std::vector<LayoutTuple> layout;
+  for (size_t s = begin; s < end; ++s) {
+    const EncodedSentence& sentence = document.sentences[s];
+    offsets.push_back(static_cast<int>(ids.size()));
+    ids.insert(ids.end(), sentence.token_ids.begin(), sentence.token_ids.end());
+    for (size_t i = 0; i < sentence.token_ids.size(); ++i) {
+      positions.push_back(static_cast<int>(i));
+    }
+    layout.insert(layout.end(), sentence.token_layout.begin(),
+                  sentence.token_layout.end());
+  }
+  Tensor states = sentence_encoder_->Forward(
+      TokenInput(ids, positions, layout), offsets, nullptr);
+  // The [CLS] rows -> dense -> L2 normalize, as SentenceRepresentation.
+  Tensor cls = ops::GatherRows(states, offsets);
   return ops::L2NormalizeRows(sentence_dense_->Forward(cls));
 }
 
@@ -203,84 +203,31 @@ Tensor HierarchicalEncoder::BuildVisualTensor(
   return visual;
 }
 
-std::shared_ptr<const plan::Plan> HierarchicalEncoder::SentencePlanFor(
-    const EncodedSentence& sentence, float* row, bool* row_done) const {
-  *row_done = false;
-  const int t_len = static_cast<int>(sentence.token_ids.size());
-  {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    auto it = sentence_plans_.find(t_len);
-    if (it != sentence_plans_.end()) {
-      Metrics().cache_hits->Increment();
-      return it->second;
-    }
-  }
-  Metrics().cache_misses->Increment();
-  TRACE_SPAN("plan.build");
-  std::shared_ptr<const plan::Plan> built;
-  {
-    plan::Recorder recorder;
-    if (config_.runtime.use_int8) recorder.EnableInt8();
-    const Tensor traced =
-        SentenceRepresentation(sentence, sentence.token_ids, nullptr);
-    built = recorder.Finish(traced);
-    if (built != nullptr && !config_.runtime.use_int8) {
-      std::copy(traced.data(), traced.data() + traced.size(), row);
-      *row_done = true;
-    }
-  }
-  if (built != nullptr) Metrics().builds->Increment();
-  // A failed build is cached as null, so a bucket the recorder cannot
-  // cover pays the trace once, not per document.
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  auto [it, inserted] = sentence_plans_.emplace(t_len, built);
-  return inserted ? built : it->second;  // first build wins
-}
-
-Tensor HierarchicalEncoder::ReplaySentences(
-    const EncodedDocument& document) const {
-  TRACE_SPAN("plan.replay");
-  const int m = static_cast<int>(document.sentences.size());
-  const int d = config_.hidden;
-  Tensor h = Tensor::Zeros({m, d});
-  std::vector<int> layout_ids[plan::kNumLayoutFeatures];
-  plan::BindingSet bindings;
-  for (int f = 0; f < plan::kNumLayoutFeatures; ++f) {
-    bindings.indices[plan::kRoleLayout0 + f] = &layout_ids[f];
-  }
-  for (int i = 0; i < m; ++i) {
-    const EncodedSentence& sentence = document.sentences[i];
-    float* row = h.data() + static_cast<int64_t>(i) * d;
-    bool row_done = false;
-    std::shared_ptr<const plan::Plan> sentence_plan =
-        SentencePlanFor(sentence, row, &row_done);
-    if (sentence_plan == nullptr) return Tensor();
-    if (row_done) continue;
-    bindings.indices[plan::kRoleTokenIds] = &sentence.token_ids;
-    for (int f = 0; f < plan::kNumLayoutFeatures; ++f) {
-      FillLayoutIds(sentence.token_layout, f, config_.layout_buckets,
-                    &layout_ids[f]);
-    }
-    metrics::ScopedTimerUs timer(Metrics().replay_us);
-    if (!plan::PlanExecutor::Run(*sentence_plan, bindings, row)) {
-      return Tensor();
-    }
-  }
-  return h;
-}
-
 Tensor HierarchicalEncoder::EncodeSentences(const EncodedDocument& document,
                                             Rng* dropout_rng) const {
   TRACE_SPAN("encoder.sentences");
   RF_CHECK(!document.sentences.empty());
-  // Inference replays; training, gradient-enabled forwards and documents
-  // the plans cannot cover run the dynamic ops.
   Tensor h;  // [m, hidden]
   if (!training() && !NoGradGuard::GradEnabled()) {
-    h = ReplaySentences(document);
-    if (!h.defined()) Metrics().fallbacks->Increment();
-  }
-  if (!h.defined()) {
+    // Inference packs whole sentences, at most kMaxPackedRows token rows
+    // per forward (a longer sentence runs alone).
+    const size_t m = document.sentences.size();
+    std::vector<Tensor> groups;
+    size_t begin = 0, rows = 0;
+    for (size_t s = 0; s < m; ++s) {
+      const size_t t_len = document.sentences[s].token_ids.size();
+      if (s > begin && rows + t_len > kMaxPackedRows) {
+        groups.push_back(PackedSentences(document, begin, s));
+        begin = s;
+        rows = 0;
+      }
+      rows += t_len;
+    }
+    groups.push_back(PackedSentences(document, begin, m));
+    h = groups.size() == 1 ? groups[0] : ops::ConcatRows(groups);
+  } else {
+    // Training keeps one forward per sentence, so dropout draws and
+    // gradient sums follow the sentence order.
     std::vector<Tensor> reps;
     reps.reserve(document.sentences.size());
     for (const EncodedSentence& sentence : document.sentences) {
@@ -307,19 +254,13 @@ Tensor HierarchicalEncoder::EncodeDocument(const Tensor& h_star,
   }
   Tensor x = ops::Add(h_star, sentence_position_embedding_->Forward(positions));
   x = ops::Add(x, LayoutEmbedding(tuples));
-  return document_encoder_->Forward(x, Tensor(), dropout_rng);
+  return document_encoder_->Forward(x, {}, dropout_rng);
 }
 
 Tensor HierarchicalEncoder::Encode(const EncodedDocument& document,
                                    Rng* dropout_rng) const {
   return EncodeDocument(EncodeSentences(document, dropout_rng), document,
                         dropout_rng);
-}
-
-void HierarchicalEncoder::SetTraining(bool training) {
-  nn::Module::SetTraining(training);
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  sentence_plans_.clear();
 }
 
 Tensor HierarchicalEncoder::VocabLogits(const Tensor& token_states) const {

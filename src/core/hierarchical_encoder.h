@@ -2,9 +2,7 @@
 #define RESUFORMER_CORE_HIERARCHICAL_ENCODER_H_
 
 #include <array>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/config.h"
@@ -17,9 +15,6 @@
 #include "text/wordpiece.h"
 
 namespace resuformer {
-namespace plan {
-struct Plan;
-}  // namespace plan
 namespace core {
 
 /// Seven-tuple spatial layout of Eq. 2: (xmin, ymin, xmax, ymax, width,
@@ -58,22 +53,23 @@ EncodedDocument EncodeForModel(const doc::Document& document,
 /// layout / position embeddings -> M-layer Transformer -> contextual states
 /// H_d. The MLLM head ties into the vocabulary projection.
 ///
-/// Inference replays the sentence tower. In eval mode under NoGradGuard,
-/// EncodeSentences runs each sentence through a static plan (tensor/plan.h)
-/// traced once per token count and cached here: first build wins, a failed
-/// build is cached as null, and any sentence without a usable plan sends
-/// the whole document down the dynamic ops (`plan.fallbacks`). Replay is
-/// bit-identical to the dynamic forward at a fixed pool width; with
-/// `runtime.use_int8` the plans' constant-weight GEMMs run in int8. The
-/// document tower always runs the dynamic ops. The cache is safe to read
-/// from any number of threads; SetTraining drops it.
+/// Inference packs the sentence tower. In eval mode under NoGradGuard,
+/// EncodeSentences concatenates a document's sentences into one
+/// [sum of tokens, hidden] input and runs the sentence Transformer once,
+/// with the sentences' first rows as attention segments (groups of whole
+/// sentences of at most kMaxPackedRows rows). Every op but attention is
+/// row-wise and attention runs per segment, so the result is bit-identical
+/// to one forward per sentence, which training and gradient-enabled calls
+/// keep. With `runtime.use_int8` the sentence tower's Linear layers run
+/// int8 in those eval-mode forwards; the document tower stays fp32. The
+/// encoder holds no inference cache, so any number of threads may read it.
 class HierarchicalEncoder : public nn::Module {
  public:
   HierarchicalEncoder(const ResuFormerConfig& config, Rng* rng);
 
   /// Sentence-level pass over every sentence: returns the fused two-modal
-  /// sentence representations h* [m, hidden]. Replays cached sentence
-  /// plans in eval mode under NoGradGuard (see the class comment).
+  /// sentence representations h* [m, hidden]. Packs the sentences in eval
+  /// mode under NoGradGuard (see the class comment).
   Tensor EncodeSentences(const EncodedDocument& document,
                          Rng* dropout_rng) const;
 
@@ -93,8 +89,8 @@ class HierarchicalEncoder : public nn::Module {
                              Rng* dropout_rng) const;
 
   /// The full sentence-level tower for one sentence: token states -> [CLS]
-  /// state -> dense -> L2 norm, shaped [1, hidden]. This is the unit
-  /// EncodeSentences traces into a plan once per token count.
+  /// state -> dense -> L2 norm, shaped [1, hidden]. EncodeSentences runs it
+  /// per sentence outside inference.
   Tensor SentenceRepresentation(const EncodedSentence& sentence,
                                 const std::vector<int>& ids,
                                 Rng* dropout_rng) const;
@@ -117,24 +113,21 @@ class HierarchicalEncoder : public nn::Module {
 
   const ResuFormerConfig& config() const { return config_; }
 
-  /// Also drops every cached plan. fp32 plans read the parameters' current
-  /// storage, but int8 plans hold weights quantized when they were built,
-  /// and weights change around mode switches (optimizer steps, snapshot
-  /// restores, checkpoint loads).
-  void SetTraining(bool training) override;
-
  private:
-  Tensor LayoutEmbedding(const std::vector<LayoutTuple>& tuples) const;
+  /// Token rows at most per packed forward: bounds the activations of one
+  /// EncodeSentences call at kMaxPackedRows x max(hidden, ffn) floats.
+  static constexpr size_t kMaxPackedRows = 2048;
 
-  /// Sentence representations [m, hidden] replayed from the plan cache, or
-  /// an undefined tensor when some sentence has no usable plan.
-  Tensor ReplaySentences(const EncodedDocument& document) const;
-  /// Get-or-build the plan for sentences of `sentence`'s token count. A
-  /// build traces `sentence` itself; for fp32 plans that traced forward
-  /// equals the replay, so its output is written to `row` and `*row_done`
-  /// is set (int8 plans quantize, so `sentence` must still replay).
-  std::shared_ptr<const plan::Plan> SentencePlanFor(
-      const EncodedSentence& sentence, float* row, bool* row_done) const;
+  Tensor LayoutEmbedding(const std::vector<LayoutTuple>& tuples) const;
+  /// Eq. 1 + Eq. 2 input of the sentence Transformer: token, position,
+  /// segment and layout embeddings summed per row.
+  Tensor TokenInput(const std::vector<int>& ids,
+                    const std::vector<int>& positions,
+                    const std::vector<LayoutTuple>& layout) const;
+  /// Sentence representations [end - begin, hidden] of sentences
+  /// [begin, end) from one packed forward of the sentence tower.
+  Tensor PackedSentences(const EncodedDocument& document, size_t begin,
+                         size_t end) const;
 
   ResuFormerConfig config_;
   // Sentence level.
@@ -150,10 +143,6 @@ class HierarchicalEncoder : public nn::Module {
   std::unique_ptr<nn::Embedding> sentence_position_embedding_;
   std::unique_ptr<nn::TransformerEncoder> document_encoder_;
   Tensor mask_vector_;
-  // Sentence plans by token count; the mutex covers lookup and insert only,
-  // plans are immutable once built.
-  mutable std::mutex plan_mu_;
-  mutable std::map<int, std::shared_ptr<const plan::Plan>> sentence_plans_;
 };
 
 }  // namespace core

@@ -20,12 +20,13 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int dim, int num_heads,
   RegisterModule(wo_.get());
 }
 
-Tensor MultiHeadSelfAttention::Forward(const Tensor& x,
-                                       const Tensor& bias) const {
+Tensor MultiHeadSelfAttention::Forward(
+    const Tensor& x, const std::vector<int>& segment_offsets) const {
   const Tensor q = wq_->Forward(x);
   const Tensor k = wk_->Forward(x);
   const Tensor v = wv_->Forward(x);
-  return wo_->Forward(ops::FusedMultiHeadAttention(q, k, v, bias, num_heads_));
+  return wo_->Forward(
+      ops::FusedMultiHeadAttention(q, k, v, segment_offsets, num_heads_));
 }
 
 }  // namespace nn

@@ -27,6 +27,10 @@ void Module::SetTraining(bool training) {
   for (Module* child : children_) child->SetTraining(training);
 }
 
+void Module::SetInt8(bool int8) {
+  for (Module* child : children_) child->SetInt8(int8);
+}
+
 Tensor Module::RegisterParameter(Tensor t) {
   t.set_requires_grad(true);
   parameters_.push_back(t);

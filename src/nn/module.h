@@ -35,9 +35,14 @@ class Module {
 
   /// Training mode toggles dropout and similar stochastic behaviour.
   /// Recurses into the children; a module caching state derived from its
-  /// weights overrides it to drop that state.
+  /// weights (nn::Linear's int8 copy) overrides it to drop that state.
   virtual void SetTraining(bool training);
   bool training() const { return training_; }
+
+  /// Int8 inference: every nn::Linear in this subtree runs its eval-mode
+  /// forwards under NoGradGuard as an int8 GEMM (see Linear). Recurses into
+  /// the children.
+  virtual void SetInt8(bool int8);
 
  protected:
   /// Registers `t` as a trainable leaf (sets requires_grad).

@@ -21,10 +21,11 @@ TransformerEncoderLayer::TransformerEncoderLayer(
   RegisterModule(norm2_.get());
 }
 
-Tensor TransformerEncoderLayer::Forward(const Tensor& x, const Tensor& bias,
-                                        Rng* dropout_rng) const {
+Tensor TransformerEncoderLayer::Forward(
+    const Tensor& x, const std::vector<int>& segment_offsets,
+    Rng* dropout_rng) const {
   const bool train = training() && dropout_rng != nullptr;
-  Tensor attn = attention_->Forward(x, bias);
+  Tensor attn = attention_->Forward(x, segment_offsets);
   attn = ops::Dropout(attn, config_.dropout, dropout_rng, train);
   Tensor h = norm1_->Forward(ops::Add(x, attn));
 
@@ -43,11 +44,12 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& config,
   }
 }
 
-Tensor TransformerEncoder::Forward(const Tensor& x, const Tensor& bias,
+Tensor TransformerEncoder::Forward(const Tensor& x,
+                                   const std::vector<int>& segment_offsets,
                                    Rng* dropout_rng) const {
   Tensor h = x;
   for (const auto& layer : layers_) {
-    h = layer->Forward(h, bias, dropout_rng);
+    h = layer->Forward(h, segment_offsets, dropout_rng);
   }
   return h;
 }

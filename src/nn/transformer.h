@@ -27,10 +27,13 @@ class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(const TransformerConfig& config, Rng* rng);
 
-  /// x: [T, dim]; `bias` is the optional additive attention mask.
-  /// `dropout_rng` supplies dropout noise during training (may be null when
-  /// not training).
-  Tensor Forward(const Tensor& x, const Tensor& bias, Rng* dropout_rng) const;
+  /// x: [T, dim], one sequence or several packed back to back whose first
+  /// rows `segment_offsets` lists (empty: one sequence). Every op but
+  /// attention is row-wise, so each packed sequence gets exactly the
+  /// output of a call on its rows alone. `dropout_rng` supplies dropout
+  /// noise during training (may be null when not training).
+  Tensor Forward(const Tensor& x, const std::vector<int>& segment_offsets,
+                 Rng* dropout_rng) const;
 
  private:
   TransformerConfig config_;
@@ -46,7 +49,9 @@ class TransformerEncoder : public Module {
  public:
   TransformerEncoder(const TransformerConfig& config, Rng* rng);
 
-  Tensor Forward(const Tensor& x, const Tensor& bias = Tensor(),
+  /// See TransformerEncoderLayer::Forward.
+  Tensor Forward(const Tensor& x,
+                 const std::vector<int>& segment_offsets = {},
                  Rng* dropout_rng = nullptr) const;
 
   const TransformerConfig& config() const { return config_; }

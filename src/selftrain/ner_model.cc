@@ -53,7 +53,7 @@ Tensor NerModel::ContextualStates(const std::vector<int>& token_ids,
   }
   Tensor x = ops::Add(token_embedding_->Forward(token_ids),
                       position_embedding_->Forward(positions));
-  Tensor contextual = encoder_->Forward(x, Tensor(), dropout_rng);
+  Tensor contextual = encoder_->Forward(x, {}, dropout_rng);
   return bilstm_->Forward(contextual);
 }
 

@@ -14,12 +14,9 @@ namespace opcompute {
 // ---------------------------------------------------------------------------
 // Shared forward-compute substrate.
 //
-// Every loop in this header is the single definition of its op's forward
-// arithmetic: the autograd ops (tensor/ops.cc) and the static-plan executor
-// (tensor/plan.cc) both call these functions, which is what makes plan
-// replay bit-identical to the dynamic path — same kernels, same parallel
-// partitioning thresholds, same per-element accumulation order. Keep any
-// change to a loop here in sync with nothing: there is no second copy.
+// The forward loops of the autograd ops (tensor/ops.cc), the row
+// partitioning helpers they share with the int8 GEMM (tensor/quant.cc), and
+// the work counters both bump.
 //
 // Parallelism contract (inherited from the original ops.cc substrate):
 // partitions are over output rows, chunk boundaries depend only on
@@ -51,9 +48,8 @@ void ForRows(int64_t rows, int64_t work, int64_t threshold, Fn&& fn) {
   }
 }
 
-// Work counters. The dynamic ops (tensor/ops.cc) and the plan executor both
-// count through CountGemm, so a run reports the same GEMM calls and forward
-// flops whichever path executed them.
+// Work counters. Every GEMM-bearing op counts through CountGemm; an int8
+// GEMM (quant::LinearI8) counts as the fp32 GEMM it replaces.
 enum class GemmForm { kNN, kNT, kTN, kFusedAttention };
 
 /// Bumps the form's call counter (`ops.gemm_nn/nt/tn.calls`,
@@ -79,35 +75,6 @@ void ForElems(int64_t n, Fn&& fn) {
   }
 }
 
-// Cache tile sizes for the blocked GEMM: a KB x JB tile of B (~16 KiB) stays
-// L1-resident while successive A rows stream over it.
-inline constexpr int kGemmKB = 32;
-inline constexpr int kGemmJB = 128;
-
-/// C[r0:r1, :] += A[r0:r1, :] * B for row-major A[m,k], B[k,n], C[m,n].
-/// k-tiles are visited in ascending order, so each C element accumulates its
-/// k products in the same order as the naive ikj loop (bit-identical).
-inline void GemmAccRows(const float* a, const float* b, float* c, int k, int n,
-                        int64_t r0, int64_t r1) {
-  for (int kk0 = 0; kk0 < k; kk0 += kGemmKB) {
-    const int kk1 = std::min(k, kk0 + kGemmKB);
-    for (int j0 = 0; j0 < n; j0 += kGemmJB) {
-      const int j1 = std::min(n, j0 + kGemmJB);
-      for (int64_t i = r0; i < r1; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (int kk = kk0; kk < kk1; ++kk) {
-          // No zero-skip here: 0 * NaN must stay NaN so divergence during
-          // pre-training is not silently suppressed.
-          const float av = arow[kk];
-          const float* brow = b + static_cast<int64_t>(kk) * n;
-          for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
 // -- Full-op forwards (output pre-zeroed by the caller for the GEMMs). ------
 
 /// C += A[m,k] * B[k,n].
@@ -115,7 +82,7 @@ inline void MatMulNNForward(const float* a, const float* b, float* c, int m,
                             int k, int n) {
   const int64_t work = static_cast<int64_t>(m) * k * n;
   ForRows(m, work, kGemmParallelWork, [&](int /*worker*/, int64_t r0, int64_t r1) {
-    GemmAccRows(a, b, c, k, n, r0, r1);
+    kernels::GemmNN(a, k, b, n, c, n, k, n, r0, r1);
   });
 }
 
@@ -170,8 +137,7 @@ inline void AddScalarForward(const float* a, float* o, int64_t n, float s) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] + s;
 }
 
-// Scalar activations. Defined once so the Elementwise autograd wrappers and
-// the plan executor apply the exact same arithmetic.
+// Scalar activations, applied by the Elementwise autograd wrappers.
 inline float ReluScalar(float x) { return x > 0.0f ? x : 0.0f; }
 inline float TanhScalar(float x) { return std::tanh(x); }
 inline float SigmoidScalar(float x) { return 1.0f / (1.0f + std::exp(-x)); }
@@ -241,40 +207,53 @@ inline void ScaleAddSoftmaxForward(const float* a, const float* bias,
           });
 }
 
-/// Fused multi-head attention forward. `attn` is the [H, T, T] probability
-/// scratch, `o` the [T, dim] output; both must be zero-filled by the caller
-/// (every GEMM below accumulates).
+/// Fused multi-head attention forward over packed sequences. Sequence s
+/// spans rows [bounds[s], bounds[s + 1]) of q/k/v/o (num_segments + 1
+/// ascending bounds from 0) and attends only within itself; its
+/// [H, T_s, T_s] probabilities sit at `attn + attn_offsets[s]`. `o` is the
+/// [T, dim] output. `attn` and `o` must be zero-filled by the caller (every
+/// GEMM below accumulates). `work` is the summed FusedAttentionMulAdds of
+/// the sequences.
 inline void FusedAttentionForward(const float* q, const float* k,
-                                  const float* v, const float* bias,
-                                  float* attn, float* o, int t_len, int dim,
-                                  int num_heads) {
+                                  const float* v, const int* bounds,
+                                  const int64_t* attn_offsets,
+                                  int num_segments, float* attn, float* o,
+                                  int dim, int num_heads, int64_t work) {
   const int head_dim = dim / num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  const int64_t rows = static_cast<int64_t>(num_heads) * t_len;
-  const int64_t work = FusedAttentionMulAdds(t_len, dim, num_heads);
-  // One fork for the whole op; each (head, row) pair computes its score
-  // row, softmaxes it in place, and accumulates its slice of the output —
-  // no transposes, slices or concats, and no worker shares an output row.
+  const int64_t rows =
+      static_cast<int64_t>(num_heads) * bounds[num_segments];
+  // One fork for the whole op; each (sequence, head, row) triple computes
+  // its score row, softmaxes it in place, and accumulates its slice of the
+  // output — no transposes, slices or concats, and no worker shares an
+  // output row. A sequence's triples make exactly the kernel calls of a
+  // single-sequence call on its rows, so packing changes no bit.
   ForRows(rows, work, kGemmParallelWork,
           [&](int /*worker*/, int64_t r0, int64_t r1) {
             for (int64_t idx = r0; idx < r1; ++idx) {
-              const int h = static_cast<int>(idx / t_len);
-              const int64_t i = idx % t_len;
-              const int off = h * head_dim;
-              float* ahead = attn + static_cast<int64_t>(h) * t_len * t_len;
-              kernels::GemmNTVec(q + off, dim, k + off, dim, ahead, t_len,
-                                 t_len, head_dim, i, i + 1);
-              kernels::ScaleAddSoftmaxRow(
-                  ahead + i * t_len,
-                  bias == nullptr ? nullptr : bias + i * t_len, t_len, scale);
-              kernels::GemmNN(ahead, t_len, v + off, dim, o + off, dim, t_len,
-                              head_dim, i, i + 1);
+              // Sequence s owns flat rows [H * bounds[s], H * bounds[s + 1]).
+              const int s = static_cast<int>(
+                  std::upper_bound(bounds + 1, bounds + num_segments + 1,
+                                   idx / num_heads) -
+                  (bounds + 1));
+              const int64_t base = bounds[s];
+              const int t_len = bounds[s + 1] - bounds[s];
+              const int64_t local = idx - num_heads * base;  // h * T_s + i
+              const int h = static_cast<int>(local / t_len);
+              const int64_t i = local % t_len;
+              const int64_t off = base * dim + h * head_dim;
+              float* prow = attn + attn_offsets[s] + local * t_len;
+              kernels::GemmNTVec(q + off + i * dim, dim, k + off, dim, prow,
+                                 t_len, t_len, head_dim, 0, 1);
+              kernels::ScaleAddSoftmaxRow(prow, nullptr, t_len, scale);
+              kernels::GemmNN(prow, t_len, v + off, dim, o + off + i * dim,
+                              dim, t_len, head_dim, 0, 1);
             }
           });
 }
 
 /// LayerNorm forward. `means` / `inv_std` are per-row saves for backward;
-/// either may be null when the caller does not need them (inference replay).
+/// either may be null when the caller does not need them.
 inline void LayerNormForward(const float* x, const float* gamma,
                              const float* beta, float* o, int m, int n,
                              float eps, float* means, float* inv_std) {

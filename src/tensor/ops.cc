@@ -11,7 +11,6 @@
 #include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/op_compute.h"
-#include "tensor/plan.h"
 
 namespace resuformer {
 
@@ -45,11 +44,10 @@ using ImplPtr = std::shared_ptr<TensorImpl>;
 
 // ---------------------------------------------------------------------------
 // Parallel substrate. The forward loops and partitioning helpers live in
-// tensor/op_compute.h so the static-plan executor (tensor/plan.cc) replays
-// the exact code the dynamic ops run — see the contract comment there.
-// Kernels route through ThreadPool::Global() with static row partitioning
-// once the work exceeds a threshold; below it (or with a single-thread
-// pool) they run the serial path inline. Partitions are over *output* rows
+// tensor/op_compute.h, which tensor/quant.cc shares. Kernels route through
+// ThreadPool::Global() with static row partitioning once the work exceeds a
+// threshold; below it (or with a single-thread pool) they run the serial
+// path inline. Partitions are over *output* rows
 // wherever possible so no two workers ever write the same element, and
 // per-element accumulation order matches the serial loops — which keeps
 // results bit-identical to the legacy kernels at any thread count for those
@@ -61,9 +59,7 @@ using ImplPtr = std::shared_ptr<TensorImpl>;
 using opcompute::CountGemm;
 using opcompute::ForElems;
 using opcompute::ForRows;
-using opcompute::GemmAccRows;
 using opcompute::GemmForm;
-using opcompute::kGemmJB;
 using opcompute::kGemmParallelWork;
 using opcompute::kRowParallelWork;
 using opcompute::ShouldParallelize;
@@ -104,6 +100,10 @@ void GemmAccRowsNT(const float* dc, const float* b, float* da, int k, int n,
   }
 }
 
+// Column tile of GemmAccRowsTN: a tile of dB rows stays L1-resident while
+// successive A and dC rows stream over it.
+constexpr int kGemmJB = 128;
+
 /// dB[k0:k1, :] += A^T * dC restricted to dB rows [k0, k1), for A[m,k],
 /// dC[m,n]. The i loop stays outermost so every dB element accumulates its m
 /// contributions in ascending i order — the serial order — and the row
@@ -127,10 +127,6 @@ void GemmAccRowsTN(const float* a, const float* dc, float* db, int64_t m,
 /// Creates the result node of an op: allocates storage, records parents, and
 /// decides whether the node participates in autograd.
 Tensor MakeNode(std::vector<int> shape, std::vector<ImplPtr> parents) {
-  // Count every node against the plan recorder's instruction count: an op
-  // without a recording hook (losses, training-mode dropout, reductions)
-  // makes the counts diverge and Finish rejects the trace.
-  plan::NoteNode();
   Tensor out = Tensor::Zeros(std::move(shape));
   bool needs_grad = false;
   if (NoGradGuard::GradEnabled()) {
@@ -184,10 +180,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   CountGemm(GemmForm::kNN, static_cast<int64_t>(m) * k * n);
   Tensor out = MakeNode({m, n}, {a.impl(), b.impl()});
   opcompute::MatMulNNForward(a.data(), b.data(), out.data(), m, k, n);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordGemm(plan::GetExecFns().matmul_nn,
-                                         "matmul_nn", a, b, out, m, k, n);
-  }
   const int64_t work = static_cast<int64_t>(m) * k * n;
   TensorImpl* self = out.impl().get();
   auto ai = a.impl(), bi = b.impl();
@@ -227,10 +219,6 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   CountGemm(GemmForm::kNT, static_cast<int64_t>(m) * k * n);
   Tensor out = MakeNode({m, n}, {a.impl(), b.impl()});
   opcompute::MatMulNTForward(a.data(), b.data(), out.data(), m, k, n);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordGemm(plan::GetExecFns().matmul_nt,
-                                         "matmul_nt", a, b, out, m, k, n);
-  }
   const int64_t work = static_cast<int64_t>(m) * k * n;
   TensorImpl* self = out.impl().get();
   auto ai = a.impl(), bi = b.impl();
@@ -269,10 +257,6 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   CountGemm(GemmForm::kTN, static_cast<int64_t>(m) * k * n);
   Tensor out = MakeNode({m, n}, {a.impl(), b.impl()});
   opcompute::MatMulTNForward(a.data(), b.data(), out.data(), m, k, n);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordGemm(plan::GetExecFns().matmul_tn,
-                                         "matmul_tn", a, b, out, m, k, n);
-  }
   const int64_t work = static_cast<int64_t>(m) * k * n;
   TensorImpl* self = out.impl().get();
   auto ai = a.impl(), bi = b.impl();
@@ -307,10 +291,6 @@ Tensor Transpose(const Tensor& a) {
   const int m = a.dim(0), n = a.dim(1);
   Tensor out = MakeNode({n, m}, {a.impl()});
   opcompute::TransposeForward(a.data(), out.data(), m, n);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().transpose,
-                                          "transpose", a, out);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
   SetBackward(&out, [self, ai, m, n]() {
@@ -337,11 +317,6 @@ Tensor AddSubImpl(const Tensor& a, const Tensor& b, float sign) {
   const int cols = a.cols();
   opcompute::AddSubForward(a.data(), b.data(), out.data(), n, cols, broadcast,
                            sign);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordBinary(plan::GetExecFns().add_sub,
-                                           sign > 0.0f ? "add" : "sub", a, b,
-                                           out, sign, broadcast);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl(), bi = b.impl();
   SetBackward(&out, [self, ai, bi, n, cols, broadcast, sign]() {
@@ -380,10 +355,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   Tensor out = MakeNode(a.shape(), {a.impl(), b.impl()});
   const int64_t n = a.size();
   opcompute::MulForward(a.data(), b.data(), out.data(), n);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordBinary(plan::GetExecFns().mul, "mul", a, b,
-                                           out);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl(), bi = b.impl();
   SetBackward(&out, [self, ai, bi, n]() {
@@ -411,10 +382,6 @@ Tensor Scale(const Tensor& a, float s) {
   Tensor out = MakeNode(a.shape(), {a.impl()});
   const int64_t n = a.size();
   opcompute::ScaleForward(a.data(), out.data(), n, s);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().scale, "scale", a,
-                                          out, s);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
   SetBackward(&out, [self, ai, n, s]() {
@@ -431,10 +398,6 @@ Tensor AddScalar(const Tensor& a, float s) {
   Tensor out = MakeNode(a.shape(), {a.impl()});
   const int64_t n = a.size();
   opcompute::AddScalarForward(a.data(), out.data(), n, s);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().add_scalar,
-                                          "add_scalar", a, out, s);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
   SetBackward(&out, [self, ai, n]() {
@@ -468,48 +431,28 @@ Tensor Elementwise(const Tensor& a, FwdFn fwd, BwdFn dydx) {
 }  // namespace
 
 Tensor Relu(const Tensor& a) {
-  Tensor out = Elementwise(a, opcompute::ReluScalar,
-                           [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().relu, "relu", a,
-                                          out);
-  }
-  return out;
+  return Elementwise(a, opcompute::ReluScalar,
+                     [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
 Tensor Tanh(const Tensor& a) {
-  Tensor out = Elementwise(a, opcompute::TanhScalar,
-                           [](float, float y) { return 1.0f - y * y; });
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().tanh, "tanh", a,
-                                          out);
-  }
-  return out;
+  return Elementwise(a, opcompute::TanhScalar,
+                     [](float, float y) { return 1.0f - y * y; });
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  Tensor out = Elementwise(a, opcompute::SigmoidScalar,
-                           [](float, float y) { return y * (1.0f - y); });
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().sigmoid, "sigmoid",
-                                          a, out);
-  }
-  return out;
+  return Elementwise(a, opcompute::SigmoidScalar,
+                     [](float, float y) { return y * (1.0f - y); });
 }
 
 Tensor Gelu(const Tensor& a) {
-  Tensor out = Elementwise(a, opcompute::GeluScalar, [](float x, float) {
+  return Elementwise(a, opcompute::GeluScalar, [](float x, float) {
     constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
     const float u = kC * (x + 0.044715f * x * x * x);
     const float t = std::tanh(u);
     const float du = kC * (1.0f + 3.0f * 0.044715f * x * x);
     return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
   });
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().gelu, "gelu", a,
-                                          out);
-  }
-  return out;
 }
 
 Tensor Softmax(const Tensor& a) {
@@ -517,10 +460,6 @@ Tensor Softmax(const Tensor& a) {
   Tensor out = MakeNode(a.shape(), {a.impl()});
   const int64_t work = static_cast<int64_t>(m) * n;
   opcompute::SoftmaxForward(a.data(), out.data(), m, n);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().softmax, "softmax",
-                                          a, out);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
   SetBackward(&out, [self, ai, m, n, work]() {
@@ -546,10 +485,6 @@ Tensor LogSoftmax(const Tensor& a) {
   Tensor out = MakeNode(a.shape(), {a.impl()});
   const int64_t work = static_cast<int64_t>(m) * n;
   opcompute::LogSoftmaxForward(a.data(), out.data(), m, n);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().log_softmax,
-                                          "log_softmax", a, out);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
   SetBackward(&out, [self, ai, m, n, work]() {
@@ -592,10 +527,6 @@ Tensor ScaleAddSoftmax(const Tensor& a, float scale, const Tensor& bias) {
   opcompute::ScaleAddSoftmaxForward(a.data(),
                                     has_bias ? bias.data() : nullptr,
                                     bias_broadcast, out.data(), m, n, scale);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordScaleAddSoftmax(a, bias, out, scale,
-                                                    bias_broadcast);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
   auto bi = has_bias ? bias.impl() : ImplPtr();
@@ -644,7 +575,8 @@ Tensor ScaleAddSoftmax(const Tensor& a, float scale, const Tensor& bias) {
 }
 
 Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
-                               const Tensor& v, const Tensor& bias,
+                               const Tensor& v,
+                               const std::vector<int>& segment_offsets,
                                int num_heads) {
   TRACE_SPAN("attention.fused");
   RF_CHECK_EQ(q.rank(), 2);
@@ -655,48 +587,54 @@ Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
   RF_CHECK_EQ(dim % num_heads, 0);
   const int head_dim = dim / num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  const bool has_bias = bias.defined();
-  if (has_bias) {
-    RF_CHECK_EQ(bias.rank(), 2);
-    RF_CHECK_EQ(bias.dim(0), t_len);
-    RF_CHECK_EQ(bias.dim(1), t_len);
+  // Sequence s spans rows [bounds[s], bounds[s + 1]); its [H, T_s, T_s]
+  // attention probabilities start at attn_offsets[s].
+  std::vector<int> bounds =
+      segment_offsets.empty() ? std::vector<int>{0} : segment_offsets;
+  bounds.push_back(t_len);
+  RF_CHECK_EQ(bounds.front(), 0);
+  const int num_segments = static_cast<int>(bounds.size()) - 1;
+  std::vector<int64_t> attn_offsets = {0};
+  int64_t work = 0;
+  for (int s = 0; s < num_segments; ++s) {
+    const int len = bounds[s + 1] - bounds[s];
+    RF_CHECK(len > 0 || num_segments == 1)
+        << "segment offsets must ascend strictly from 0 below " << t_len;
+    attn_offsets.push_back(attn_offsets.back() +
+                           static_cast<int64_t>(num_heads) * len * len);
+    const int64_t mul_adds =
+        opcompute::FusedAttentionMulAdds(len, dim, num_heads);
+    CountGemm(GemmForm::kFusedAttention, mul_adds);
+    work += mul_adds;
   }
-  std::vector<ImplPtr> parents = {q.impl(), k.impl(), v.impl()};
-  if (has_bias) parents.push_back(bias.impl());
-  Tensor out = MakeNode({t_len, dim}, std::move(parents));
+  Tensor out = MakeNode({t_len, dim}, {q.impl(), k.impl(), v.impl()});
+  RF_CHECK(num_segments == 1 || !out.impl()->requires_grad)
+      << "packed attention runs in inference only: differentiate one "
+         "sequence per call";
 
-  // Attention probabilities for every head, [H, T, T]; kept alive by the
-  // backward closure when gradients are tracked, recycled immediately
-  // otherwise. shared_ptr because std::function requires copyability.
-  auto attn = std::make_shared<ArenaBuffer>(static_cast<int64_t>(num_heads) *
-                                            t_len * t_len);
+  // The probabilities of every sequence; for a single sequence the
+  // [H, T, T] block the backward reads. Kept alive by the backward closure
+  // when gradients are tracked, recycled immediately otherwise. shared_ptr
+  // because std::function requires copyability.
   const int64_t rows = static_cast<int64_t>(num_heads) * t_len;
-  const int64_t work = opcompute::FusedAttentionMulAdds(t_len, dim, num_heads);
-  CountGemm(GemmForm::kFusedAttention, work);
-  opcompute::FusedAttentionForward(q.data(), k.data(), v.data(),
-                                   has_bias ? bias.data() : nullptr,
-                                   attn->data(), out.data(), t_len, dim,
-                                   num_heads);
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordFusedAttention(q, k, v, bias, out, t_len,
-                                                   dim, num_heads);
-  }
+  auto attn = std::make_shared<ArenaBuffer>(attn_offsets.back());
+  opcompute::FusedAttentionForward(q.data(), k.data(), v.data(), bounds.data(),
+                                   attn_offsets.data(), num_segments,
+                                   attn->data(), out.data(), dim, num_heads,
+                                   work);
 
   TensorImpl* self = out.impl().get();
   auto qi = q.impl(), ki = k.impl(), vi = v.impl();
-  auto bi = has_bias ? bias.impl() : ImplPtr();
-  SetBackward(&out, [self, qi, ki, vi, bi, attn, t_len, dim, head_dim,
-                     num_heads, scale, rows, work]() {
+  SetBackward(&out, [self, qi, ki, vi, attn, t_len, dim, head_dim, num_heads,
+                     scale, rows, work]() {
     const bool need_dq = qi->requires_grad;
     const bool need_dk = ki->requires_grad;
     const bool need_dv = vi->requires_grad;
-    const bool need_dbias = bi != nullptr && bi->requires_grad;
-    const bool need_dscores = need_dq || need_dk || need_dbias;
+    const bool need_dscores = need_dq || need_dk;
     if (!need_dscores && !need_dv) return;
     if (need_dq) qi->EnsureGrad();
     if (need_dk) ki->EnsureGrad();
     if (need_dv) vi->EnsureGrad();
-    if (need_dbias) bi->EnsureGrad();
     const float* pattn = attn->data();
     const float* pdy = self->grad.data();
     const float* pq = qi->data_ptr();
@@ -705,9 +643,8 @@ Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
     const int64_t hsz = static_cast<int64_t>(t_len) * t_len;
 
     // Phase 1: dScores[h,i,:] = softmax_backward(dAttn[h,i,:]) where
-    // dAttn[h,i,j] = dot(dY[i, head h], V[j, head h]). Unscaled — the bias
-    // gradient is taken before the 1/sqrt(d) factor, exactly like the
-    // composed Scale->Add->Softmax chain.
+    // dAttn[h,i,j] = dot(dY[i, head h], V[j, head h]), before the 1/sqrt(d)
+    // factor (folded in below).
     ArenaBuffer dscores_buf(need_dscores ? rows * t_len : 0);
     float* pds = dscores_buf.data();
     if (need_dscores) {
@@ -726,25 +663,13 @@ Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
                                               /*out_overwrite=*/true);
                 }
               });
-    }
-
-    // Phase 2: the bias is shared across heads, so its gradient reduces
-    // over h — serial in ascending head order (deterministic, cheap).
-    if (need_dbias) {
-      for (int h = 0; h < num_heads; ++h) {
-        const float* dshead = pds + h * hsz;
-        for (int64_t e = 0; e < hsz; ++e) bi->grad[e] += dshead[e];
-      }
-    }
-
-    if (need_dq || need_dk) {
       // Fold the score scale into dScores once; dQ/dK read the scaled copy.
       ForElems(rows * t_len, [pds, scale](int64_t begin, int64_t end) {
         for (int64_t e = begin; e < end; ++e) pds[e] *= scale;
       });
     }
 
-    // Phase 3: dQ[i, head h] += dS[h,i,:] * K[:, head h] — row-partitioned.
+    // Phase 2: dQ[i, head h] += dS[h,i,:] * K[:, head h] — row-partitioned.
     if (need_dq) {
       float* dq = qi->grad.data();
       ForRows(rows, work, kGemmParallelWork,
@@ -759,7 +684,7 @@ Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
               });
     }
 
-    // Phase 4: dK[j, h] += dS[h,:,j]^T Q[:, h]; dV[j, h] += A[h,:,j]^T dY.
+    // Phase 3: dK[j, h] += dS[h,:,j]^T Q[:, h]; dV[j, h] += A[h,:,j]^T dY.
     // Both reduce over query rows i for a fixed key/value row j, so the
     // (h, j) partition keeps writers disjoint.
     if (need_dk || need_dv) {
@@ -956,10 +881,6 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
               out.data() + static_cast<int64_t>(row) * n);
     row += p.rows();
   }
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordConcat(plan::GetExecFns().concat_rows,
-                                           "concat_rows", parts, out);
-  }
   TensorImpl* self = out.impl().get();
   std::vector<ImplPtr> srcs;
   srcs.reserve(parts.size());
@@ -1002,10 +923,6 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     }
     col += pc;
   }
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordConcat(plan::GetExecFns().concat_cols,
-                                           "concat_cols", parts, out);
-  }
   TensorImpl* self = out.impl().get();
   std::vector<ImplPtr> srcs;
   std::vector<int> widths;
@@ -1042,10 +959,6 @@ Tensor SliceRows(const Tensor& a, int start, int len) {
   Tensor out = MakeNode({len, n}, {a.impl()});
   std::copy(a.data() + static_cast<int64_t>(start) * n,
             a.data() + static_cast<int64_t>(start + len) * n, out.data());
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordSlice(plan::GetExecFns().slice_rows,
-                                          "slice_rows", a, out, start, len);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
   SetBackward(&out, [self, ai, start, len, n]() {
@@ -1068,10 +981,6 @@ Tensor SliceCols(const Tensor& a, int start, int len) {
     std::copy(a.data() + static_cast<int64_t>(i) * n + start,
               a.data() + static_cast<int64_t>(i) * n + start + len,
               out.data() + static_cast<int64_t>(i) * len);
-  }
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordSlice(plan::GetExecFns().slice_cols,
-                                          "slice_cols", a, out, start, len);
   }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
@@ -1099,9 +1008,6 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
     std::copy(a.data() + static_cast<int64_t>(indices[i]) * n,
               a.data() + static_cast<int64_t>(indices[i] + 1) * n,
               out.data() + static_cast<int64_t>(i) * n);
-  }
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordGather(a, indices, out);
   }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
@@ -1132,9 +1038,6 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   const int64_t work = static_cast<int64_t>(m) * n;
   opcompute::LayerNormForward(x.data(), gamma.data(), beta.data(), out.data(),
                               m, n, eps, means.data(), inv_std.data());
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordLayerNorm(x, gamma, beta, out, eps);
-  }
   TensorImpl* self = out.impl().get();
   auto xi = x.impl(), gi = gamma.impl(), bi = beta.impl();
   SetBackward(&out, [self, xi, gi, bi, m, n, work, means = std::move(means),
@@ -1276,10 +1179,6 @@ Tensor L2NormalizeRows(const Tensor& a, float eps) {
   std::vector<float> inv_norm(m);
   opcompute::L2NormalizeForward(a.data(), out.data(), m, n, eps,
                                 inv_norm.data());
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().l2_normalize,
-                                          "l2_normalize", a, out, eps);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
   SetBackward(&out, [self, ai, m, n, inv_norm = std::move(inv_norm)]() {
@@ -1305,10 +1204,6 @@ Tensor Reshape(const Tensor& a, std::vector<int> shape) {
   RF_CHECK_EQ(prod, a.size());
   Tensor out = MakeNode(shape, {a.impl()});
   std::copy(a.data(), a.data() + a.size(), out.data());
-  if (plan::RecordingActive()) {
-    plan::Recorder::Active()->RecordUnary(plan::GetExecFns().reshape, "reshape",
-                                          a, out);
-  }
   TensorImpl* self = out.impl().get();
   auto ai = a.impl();
   const int64_t n = a.size();

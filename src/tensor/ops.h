@@ -56,17 +56,24 @@ Tensor LogSoftmax(const Tensor& a);
 Tensor ScaleAddSoftmax(const Tensor& a, float scale,
                        const Tensor& bias = Tensor());
 
-/// Fused multi-head scaled-dot-product self-attention core:
-/// q/k/v are [T, dim] with dim = num_heads * head_dim (heads are column
-/// blocks); returns concat_h(softmax(Qh Kh^T / sqrt(head_dim) + bias) Vh)
-/// as [T, dim]. `bias` (optional, [T, T]) is shared across heads. Operates
-/// on strided head views — no per-head slice/transpose/concat copies — and
-/// differentiates through q, k, v and bias. Results are deterministic and
-/// bit-identical across thread counts; against the composed per-head
-/// reference they agree within 1e-5 relative on forward and backward (the
-/// score reductions use the SIMD-reassociated kernels::GemmNTVec).
+/// Fused multi-head scaled-dot-product self-attention core over one or more
+/// packed sequences: q/k/v are [T, dim] with dim = num_heads * head_dim
+/// (heads are column blocks). `segment_offsets` lists the first row of each
+/// sequence, ascending strictly from 0; empty means one sequence of all T
+/// rows. Each sequence attends only to its own rows and gets exactly the
+/// arithmetic of a single-sequence call on them, so packing changes no bit
+/// of the output; each counts once in `ops.fused_attention.calls`. Returns
+/// concat_h(softmax(Qh Kh^T / sqrt(head_dim)) Vh) as [T, dim], computed on
+/// strided head views — no per-head slice/transpose/concat copies. A
+/// single-sequence call differentiates through q, k and v; a
+/// gradient-tracked call with several sequences is refused (RF_CHECK).
+/// Results are deterministic and bit-identical across thread counts;
+/// against the composed per-head reference they agree within 1e-5 relative
+/// on forward and backward (the score reductions use the SIMD-reassociated
+/// kernels::GemmNTVec).
 Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
-                               const Tensor& v, const Tensor& bias,
+                               const Tensor& v,
+                               const std::vector<int>& segment_offsets,
                                int num_heads);
 
 /// Mean negative log-likelihood of `targets` under row-wise softmax of

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/op_compute.h"
 
@@ -73,20 +74,6 @@ QuantizedTensor QuantizeTransposed(const float* w, int k, int n) {
   return qt;
 }
 
-QuantizedTensor QuantizeRows(const float* w, int rows, int cols) {
-  QuantizedTensor qt;
-  qt.rows = rows;
-  qt.cols = cols;
-  const int64_t n = static_cast<int64_t>(rows) * cols;
-  qt.scale = ComputeScale(w, n);
-  qt.data.assign(static_cast<size_t>(n), 0);
-  if (qt.scale != 0.0f) {
-    Quantize(w, n, qt.scale, qt.data.data());
-    Metrics().weights_quantized->Increment();
-  }
-  return qt;
-}
-
 int64_t LinearI8ScratchFloats(int m, int k, int n) {
   const int64_t acc_floats = static_cast<int64_t>(m) * n;
   const int64_t qa_floats = (static_cast<int64_t>(m) * k + 3) / 4;
@@ -98,40 +85,56 @@ void LinearI8Forward(const float* a, const QuantizedTensor& w, float* c,
   RF_DCHECK_EQ(w.rows, n);
   RF_DCHECK_EQ(w.cols, k);
   RF_DCHECK_LE(k, kMaxI8ReduceDim);
-  const int64_t out_elems = static_cast<int64_t>(m) * n;
-  const float sa = ComputeScale(a, static_cast<int64_t>(m) * k);
-  if (sa == 0.0f || w.scale == 0.0f) {
-    // One operand is exactly zero, so the product is exactly zero. (Unlike
-    // the fp32 kernels there is no NaN to propagate: quantization already
-    // collapsed non-finite values.)
-    std::fill(c, c + out_elems, 0.0f);
-    return;
-  }
   Metrics().dynamic_quants->Increment();
   // Workspace layout: the int32 accumulator block first (float-aligned is
   // int32-aligned), then the int8 activations packed 4 per float. The casts
   // below are the reason this TU is on rf_lint rule 11's allow-list.
   int32_t* c32 = reinterpret_cast<int32_t*>(scratch);
-  int8_t* qa = reinterpret_cast<int8_t*>(scratch + out_elems);
-  const float dq = sa * w.scale;
-  const float inv_sa = 1.0f / sa;
-  // One fork for quantize + GEMM + dequantize: a worker's rows [r0, r1)
-  // touch only A rows [r0, r1) and C rows [r0, r1), so no cross-worker
-  // dependency exists once sa is fixed — and integer accumulation makes the
-  // result exact (identical) at any thread count or partition.
+  int8_t* qa =
+      reinterpret_cast<int8_t*>(scratch + static_cast<int64_t>(m) * n);
+  // One fork for quantize + GEMM + dequantize. Each row is quantized with
+  // its own scale and touches only its own A, scratch and C rows, so a
+  // row's output depends on nothing but that row and the weight — not on
+  // the rows beside it, the partition or the thread count (integer
+  // accumulation is exact).
   const int64_t work = static_cast<int64_t>(m) * k * n;
   opcompute::ForRows(
       m, work, opcompute::kGemmParallelWork,
       [&](int /*worker*/, int64_t r0, int64_t r1) {
-        for (int64_t i = r0 * k; i < r1 * k; ++i) {
-          qa[i] = SaturateRound(a[i] * inv_sa);
-        }
-        std::fill(c32 + r0 * n, c32 + r1 * n, 0);
-        kernels::GemmNTI8(qa, k, w.data.data(), k, c32, n, n, k, r0, r1);
-        for (int64_t i = r0 * n; i < r1 * n; ++i) {
-          c[i] = static_cast<float>(c32[i]) * dq;
+        for (int64_t i = r0; i < r1; ++i) {
+          const float* arow = a + i * k;
+          int8_t* qrow = qa + i * k;
+          int32_t* crow = c32 + i * n;
+          // An all-zero row (or weight) yields exactly zero: its int8
+          // operand is all zeros. There is no NaN to propagate, unlike the
+          // fp32 kernels: quantization already collapsed non-finite values.
+          const float sa = ComputeScale(arow, k);
+          if (sa == 0.0f) {
+            std::fill(qrow, qrow + k, 0);
+          } else {
+            Quantize(arow, k, sa, qrow);
+          }
+          std::fill(crow, crow + n, 0);
+          kernels::GemmNTI8(qrow, k, w.data.data(), k, crow, n, n, k, 0, 1);
+          const float dq = sa * w.scale;
+          float* out = c + i * n;
+          for (int j = 0; j < n; ++j) {
+            out[j] = static_cast<float>(crow[j]) * dq;
+          }
         }
       });
+}
+
+Tensor LinearI8(const Tensor& x, const QuantizedTensor& w) {
+  RF_CHECK_EQ(x.rank(), 2);
+  const int m = x.rows(), k = x.cols(), n = w.rows;
+  RF_CHECK_EQ(k, w.cols);
+  opcompute::CountGemm(opcompute::GemmForm::kNN,
+                       static_cast<int64_t>(m) * k * n);
+  Tensor out = Tensor::Zeros({m, n});
+  ArenaBuffer scratch(LinearI8ScratchFloats(m, k, n));
+  LinearI8Forward(x.data(), w, out.data(), m, k, n, scratch.data());
+  return out;
 }
 
 }  // namespace quant

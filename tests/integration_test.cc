@@ -306,9 +306,10 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
               parsed.blocks[i].entities.size());
   }
 
-  // Parse replays sentence plans; at a serial pool its blocks must be the
-  // dynamic reference's: gradient-enabled emissions (the dynamic ops),
-  // Viterbi through the same CRF, then block segmentation.
+  // Parse packs each document's sentences; at a serial pool its blocks
+  // must be the per-sentence reference's: gradient-enabled emissions (one
+  // forward per sentence), Viterbi through the same CRF, then block
+  // segmentation.
   ThreadPool::Global().SetNumThreads(1);
   const core::BlockClassifier& classifier = (*loaded)->block_classifier();
   for (const auto& labeled : corpus.test) {
@@ -317,15 +318,15 @@ TEST(PipelineIntegrationTest, EndToEndTrainAndParse) {
     ASSERT_FALSE(encoded.sentences.empty());
     const std::vector<doc::Block> want = doc::Document::BlocksFromLabels(
         classifier.crf()->Decode(classifier.Emissions(encoded, nullptr)));
-    const StructuredResume plan_parse = ParseOne(**loaded, labeled.document);
-    ASSERT_EQ(plan_parse.blocks.size(), want.size());
+    const StructuredResume packed_parse = ParseOne(**loaded, labeled.document);
+    ASSERT_EQ(packed_parse.blocks.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(plan_parse.blocks[i].tag, want[i].tag);
+      EXPECT_EQ(packed_parse.blocks[i].tag, want[i].tag);
       std::vector<std::string> lines;
       for (int s = want[i].first_sentence; s <= want[i].last_sentence; ++s) {
         lines.push_back(labeled.document.sentences[s].Text());
       }
-      EXPECT_EQ(plan_parse.blocks[i].lines, lines);
+      EXPECT_EQ(packed_parse.blocks[i].lines, lines);
     }
   }
 

@@ -96,21 +96,22 @@ TEST(AttentionTest, OutputShapeAndGrad) {
   EXPECT_LT(GradCheck(x, [&]() { return ops::Mean(attn.Forward(x)); }), kTol);
 }
 
-TEST(AttentionTest, MaskBiasBlocksPositions) {
+TEST(AttentionTest, SegmentsDoNotAttendAcrossBoundaries) {
   Rng rng(7);
   MultiHeadSelfAttention attn(8, 2, &rng);
   Tensor x = Tensor::Randn({3, 8}, &rng);
-  // Bias that forbids attending to position 2 from anywhere.
-  Tensor bias = Tensor::Zeros({3, 3});
-  for (int i = 0; i < 3; ++i) bias.at(i, 2) = -1e9f;
-  Tensor masked = attn.Forward(x, bias);
-  // Changing row 2's content must not affect rows 0-1 outputs beyond its own
-  // query path. Perturb x row 2 and compare outputs of row 0.
+  NoGradGuard no_grad;  // a packed call runs in inference only
+  // Rows 0-1 and row 2 are separate sequences: perturbing row 2 must leave
+  // rows 0-1 exactly as they were, and row 2 must equal its own call.
+  Tensor packed = attn.Forward(x, {0, 2});
   Tensor x2 = x.Detach();
   for (int j = 0; j < 8; ++j) x2.at(2, j) += 10.0f;
-  Tensor masked2 = attn.Forward(x2, bias);
+  Tensor packed2 = attn.Forward(x2, {0, 2});
+  Tensor alone = attn.Forward(ops::SliceRows(x, 2, 1));
   for (int j = 0; j < 8; ++j) {
-    EXPECT_NEAR(masked.at(0, j), masked2.at(0, j), 1e-4f);
+    EXPECT_EQ(packed.at(0, j), packed2.at(0, j));
+    EXPECT_EQ(packed.at(1, j), packed2.at(1, j));
+    EXPECT_EQ(packed.at(2, j), alone.at(0, j));
   }
 }
 

@@ -6,9 +6,10 @@
 //  * the int8 GEMM kernels (NT/NN/TN) match an exact scalar int32
 //    reference bit-for-bit across ragged shapes and row partitions
 //    (integer accumulation is associative, so there is no tolerance),
-//  * LinearI8Forward (dynamic activation quant + NT GEMM + dequant)
-//    tracks the fp32 product within the analytic quantization bound and
-//    is bit-identical across thread-pool widths.
+//  * LinearI8Forward (per-row activation quant + NT GEMM + dequant)
+//    tracks the fp32 product within the analytic quantization bound, is
+//    bit-identical across thread-pool widths, and gives each row the same
+//    output whatever rows surround it.
 
 #include <gtest/gtest.h>
 
@@ -145,8 +146,8 @@ TEST(GemmI8Test, NtMatchesScalarReference) {
 }
 
 TEST(GemmI8Test, RowPartitionsComposeExactly) {
-  // The plan executor splits GEMMs into [r0, r1) row ranges across workers;
-  // int32 accumulation makes any split bit-identical to the full run.
+  // The pool splits GEMMs into [r0, r1) row ranges across workers; int32
+  // accumulation makes any split bit-identical to the full run.
   Rng rng(204);
   const int m = 9, d = 77, n = 6;
   std::vector<int8_t> a = RandomI8(static_cast<int64_t>(m) * d, &rng);
@@ -186,10 +187,11 @@ TEST(LinearI8Test, TracksFp32WithinAnalyticBound) {
     std::vector<float> c(static_cast<size_t>(s.m) * s.n,
                          123.0f);  // must be overwritten
     LinearI8Forward(a.data(), qw, c.data(), s.m, s.d, s.n, scratch.data());
-    const float sa =
-        ComputeScale(a.data(), static_cast<int64_t>(s.m) * s.d);
-    const float tol = LinearTolerance(s.d, sa, qw.scale);
     for (int i = 0; i < s.m; ++i) {
+      // Each row is quantized with its own scale.
+      const float sa =
+          ComputeScale(a.data() + static_cast<size_t>(i) * s.d, s.d);
+      const float tol = LinearTolerance(s.d, sa, qw.scale);
       for (int j = 0; j < s.n; ++j) {
         float exact = 0.0f;
         for (int t = 0; t < s.d; ++t) {
@@ -221,6 +223,28 @@ TEST(LinearI8Test, ZeroActivationsOrWeightsYieldExactZero) {
   std::fill(c.begin(), c.end(), 9.0f);
   LinearI8Forward(a.data(), qz, c.data(), m, k, n, scratch.data());
   for (float v : c) EXPECT_EQ(v, 0.0f);
+}
+
+TEST(LinearI8Test, RowOutputIgnoresTheOtherRows) {
+  // Rows of very different magnitude: a per-tensor activation scale would
+  // quantize the small row coarsely because of the large one.
+  Rng rng(304);
+  const int m = 3, k = 40, n = 12;
+  std::vector<float> a = RandomVec(static_cast<int64_t>(m) * k, 1.0f, &rng);
+  for (int t = 0; t < k; ++t) a[static_cast<size_t>(2) * k + t] *= 50.0f;
+  std::vector<float> w = RandomVec(static_cast<int64_t>(k) * n, 0.3f, &rng);
+  const QuantizedTensor qw = QuantizeTransposed(w.data(), k, n);
+  std::vector<float> scratch(LinearI8ScratchFloats(m, k, n));
+  std::vector<float> all(static_cast<size_t>(m) * n);
+  LinearI8Forward(a.data(), qw, all.data(), m, k, n, scratch.data());
+  for (int i = 0; i < m; ++i) {
+    std::vector<float> alone(n);
+    LinearI8Forward(a.data() + static_cast<size_t>(i) * k, qw, alone.data(),
+                    1, k, n, scratch.data());
+    const std::vector<float> row(all.begin() + static_cast<size_t>(i) * n,
+                                 all.begin() + static_cast<size_t>(i + 1) * n);
+    EXPECT_EQ(alone, row) << "row " << i;
+  }
 }
 
 TEST(LinearI8Test, BitIdenticalAcrossThreadCounts) {

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "gradcheck.h"
 #include "tensor/arena.h"
@@ -531,7 +532,7 @@ namespace {
 /// slice/transpose/scale/softmax/concat chain, the oracle that
 /// MultiHeadSelfAttention's single fused path is checked against.
 Tensor ComposedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                         const Tensor& bias, int num_heads) {
+                         int num_heads) {
   const int head_dim = q.cols() / num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   std::vector<Tensor> heads;
@@ -541,7 +542,6 @@ Tensor ComposedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
     Tensor kh = ops::SliceCols(k, off, head_dim);
     Tensor vh = ops::SliceCols(v, off, head_dim);
     Tensor scores = ops::Scale(ops::MatMul(qh, ops::Transpose(kh)), scale);
-    if (bias.defined()) scores = ops::Add(scores, bias);
     heads.push_back(ops::MatMul(ops::Softmax(scores), vh));
   }
   return ops::ConcatCols(heads);
@@ -689,40 +689,30 @@ TEST(FusedOpsTest, FusedAttentionMatchesComposed) {
   // Non-square (T != dim) shapes; every head-count divides dim = 8.
   const int t_len = 6, dim = 8;
   for (int num_heads : {1, 2, 4}) {
-    for (bool with_bias : {false, true}) {
-      Tensor q = RandTensor({t_len, dim}, 1000 + num_heads);
-      Tensor k = RandTensor({t_len, dim}, 1010 + num_heads);
-      Tensor v = RandTensor({t_len, dim}, 1020 + num_heads);
-      Tensor bias =
-          with_bias ? RandTensor({t_len, t_len}, 1030 + num_heads) : Tensor();
-      Tensor w = RandTensor({t_len, dim}, 1040 + num_heads);
-      for (Tensor* t : {&q, &k, &v}) t->set_requires_grad(true);
-      if (with_bias) bias.set_requires_grad(true);
+    Tensor q = RandTensor({t_len, dim}, 1000 + num_heads);
+    Tensor k = RandTensor({t_len, dim}, 1010 + num_heads);
+    Tensor v = RandTensor({t_len, dim}, 1020 + num_heads);
+    Tensor w = RandTensor({t_len, dim}, 1040 + num_heads);
+    for (Tensor* t : {&q, &k, &v}) t->set_requires_grad(true);
+    auto zero_all = [&]() {
+      for (Tensor* t : {&q, &k, &v}) t->ZeroGrad();
+    };
 
-      auto zero_all = [&]() {
-        for (Tensor* t : {&q, &k, &v}) t->ZeroGrad();
-        if (with_bias) bias.ZeroGrad();
-      };
+    zero_all();
+    Tensor fused = ops::FusedMultiHeadAttention(q, k, v, {}, num_heads);
+    ops::Mean(ops::Mul(fused, w)).Backward();
+    std::vector<float> dq = GradOf(q), dk = GradOf(k), dv = GradOf(v);
 
-      zero_all();
-      Tensor fused = ops::FusedMultiHeadAttention(q, k, v, bias, num_heads);
-      ops::Mean(ops::Mul(fused, w)).Backward();
-      std::vector<float> dq = GradOf(q), dk = GradOf(k), dv = GradOf(v);
-      std::vector<float> dbias = with_bias ? GradOf(bias)
-                                           : std::vector<float>();
+    zero_all();
+    Tensor composed = ComposedAttention(q, k, v, num_heads);
+    ops::Mean(ops::Mul(composed, w)).Backward();
 
-      zero_all();
-      Tensor composed = ComposedAttention(q, k, v, bias, num_heads);
-      ops::Mean(ops::Mul(composed, w)).Backward();
-
-      // Forward is 1e-5-close, not bitwise: the fused score reductions are
-      // SIMD-reassociated (kernels::GemmNTVec).
-      ExpectTensorNear(fused, composed, 1e-5f);
-      ExpectAllNear(dq, GradOf(q), 1e-5f);
-      ExpectAllNear(dk, GradOf(k), 1e-5f);
-      ExpectAllNear(dv, GradOf(v), 1e-5f);
-      if (with_bias) ExpectAllNear(dbias, GradOf(bias), 1e-5f);
-    }
+    // Forward is 1e-5-close, not bitwise: the fused score reductions are
+    // SIMD-reassociated (kernels::GemmNTVec).
+    ExpectTensorNear(fused, composed, 1e-5f);
+    ExpectAllNear(dq, GradOf(q), 1e-5f);
+    ExpectAllNear(dk, GradOf(k), 1e-5f);
+    ExpectAllNear(dv, GradOf(v), 1e-5f);
   }
 }
 
@@ -731,17 +721,51 @@ TEST(FusedOpsTest, FusedAttentionGradCheck) {
   Tensor q = RandTensor({t_len, dim}, 1100, 0.5f);
   Tensor k = RandTensor({t_len, dim}, 1101, 0.5f);
   Tensor v = RandTensor({t_len, dim}, 1102, 0.5f);
-  Tensor bias = RandTensor({t_len, t_len}, 1103, 0.5f);
   Tensor w = RandTensor({t_len, dim}, 1104);
-  for (Tensor* t : {&q, &k, &v, &bias}) t->set_requires_grad(true);
+  for (Tensor* t : {&q, &k, &v}) t->set_requires_grad(true);
   auto loss = [&]() {
     return ops::Mean(
-        ops::Mul(ops::FusedMultiHeadAttention(q, k, v, bias, num_heads), w));
+        ops::Mul(ops::FusedMultiHeadAttention(q, k, v, {}, num_heads), w));
   };
   EXPECT_LT(GradCheck(q, loss), kTol);
   EXPECT_LT(GradCheck(k, loss), kTol);
   EXPECT_LT(GradCheck(v, loss), kTol);
-  EXPECT_LT(GradCheck(bias, loss), kTol);
+}
+
+TEST(FusedOpsTest, PackedSequencesMatchSeparateCallsBitExact) {
+  // Ragged sequences, a one-row one among them, packed back to back: each
+  // must get exactly the rows a single-sequence call on it returns, at any
+  // pool width, and count as one attention call of its own.
+  const std::vector<int> lengths = {5, 1, 9, 3, 40};
+  const std::vector<int> offsets = {0, 5, 6, 15, 18};
+  const int t_len = 58, dim = 64, num_heads = 4;  // crosses the GEMM
+                                                  // parallel threshold
+  Tensor q = RandTensor({t_len, dim}, 1150);
+  Tensor k = RandTensor({t_len, dim}, 1151);
+  Tensor v = RandTensor({t_len, dim}, 1152);
+  auto& registry = metrics::MetricsRegistry::Global();
+  metrics::Counter* calls = registry.GetCounter("ops.fused_attention.calls");
+  metrics::Counter* flops = registry.GetCounter("ops.gemm.forward_flops");
+  NoGradGuard no_grad;
+  for (int threads : {1, 4}) {
+    PoolGuard guard(threads);
+    const int64_t calls_before = calls->value();
+    const int64_t flops_before = flops->value();
+    Tensor packed =
+        ops::FusedMultiHeadAttention(q, k, v, offsets, num_heads);
+    const int64_t packed_calls = calls->value() - calls_before;
+    const int64_t packed_flops = flops->value() - flops_before;
+    EXPECT_EQ(packed_calls, static_cast<int64_t>(lengths.size()));
+    std::vector<Tensor> parts;
+    for (size_t s = 0; s < lengths.size(); ++s) {
+      parts.push_back(ops::FusedMultiHeadAttention(
+          ops::SliceRows(q, offsets[s], lengths[s]),
+          ops::SliceRows(k, offsets[s], lengths[s]),
+          ops::SliceRows(v, offsets[s], lengths[s]), {}, num_heads));
+    }
+    EXPECT_EQ(flops->value() - flops_before, 2 * packed_flops);
+    ExpectBitEqual(packed, ops::ConcatRows(parts));
+  }
 }
 
 TEST(ParallelOpsTest, FusedAttentionBitIdenticalAcrossThreads) {
@@ -752,19 +776,17 @@ TEST(ParallelOpsTest, FusedAttentionBitIdenticalAcrossThreads) {
   Tensor q = RandTensor({t_len, dim}, 1200);
   Tensor k = RandTensor({t_len, dim}, 1201);
   Tensor v = RandTensor({t_len, dim}, 1202);
-  Tensor bias = RandTensor({t_len, t_len}, 1203);
   Tensor w = RandTensor({t_len, dim}, 1204);
-  for (Tensor* t : {&q, &k, &v, &bias}) t->set_requires_grad(true);
+  for (Tensor* t : {&q, &k, &v}) t->set_requires_grad(true);
   auto run = [&]() {
-    for (Tensor* t : {&q, &k, &v, &bias}) t->ZeroGrad();
-    Tensor y = ops::FusedMultiHeadAttention(q, k, v, bias, num_heads);
+    for (Tensor* t : {&q, &k, &v}) t->ZeroGrad();
+    Tensor y = ops::FusedMultiHeadAttention(q, k, v, {}, num_heads);
     ops::Mean(ops::Mul(y, w)).Backward();
     return y;
   };
   ThreadPool::Global().SetNumThreads(1);
   Tensor serial = run();
-  std::vector<float> dq = GradOf(q), dk = GradOf(k), dv = GradOf(v),
-                     dbias = GradOf(bias);
+  std::vector<float> dq = GradOf(q), dk = GradOf(k), dv = GradOf(v);
   {
     PoolGuard guard(4);
     Tensor parallel = run();
@@ -772,7 +794,6 @@ TEST(ParallelOpsTest, FusedAttentionBitIdenticalAcrossThreads) {
     ASSERT_EQ(dq, GradOf(q));
     ASSERT_EQ(dk, GradOf(k));
     ASSERT_EQ(dv, GradOf(v));
-    ASSERT_EQ(dbias, GradOf(bias));
   }
 }
 
@@ -833,7 +854,7 @@ TEST(ArenaTest, OutstandingReturnsToBaselineAfterGraphRuns) {
     // fused attention's ArenaBuffer workspaces.
     Tensor q = RandTensor({16, 8}, 1400);
     q.set_requires_grad(true);
-    Tensor y = ops::FusedMultiHeadAttention(q, q, q, Tensor(), 2);
+    Tensor y = ops::FusedMultiHeadAttention(q, q, q, {}, 2);
     ops::Mean(y).Backward();
   }
   EXPECT_EQ(arena.stats().outstanding, before);

@@ -364,18 +364,11 @@ class Graph {
   void RunAllocRule(std::vector<GraphFinding>* out) {
     for (int f = 0; f < static_cast<int>(fns_.size()); ++f) {
       const FunctionInfo& fn = fns_[f];
-      const bool parallel_root = fn.is_parallel_body && InAllocScope(fn.file);
-      const bool replay_root =
-          fn.file.find("tensor/plan") != std::string::npos &&
-          (fn.simple_name.rfind("Exec", 0) == 0 ||
-           fn.qualified_name.find("PlanExecutor::Run") != std::string::npos);
-      if (!parallel_root && !replay_root) continue;
-      const char* where =
-          parallel_root ? "parallel-for body" : "plan-replay handler";
+      if (!fn.is_parallel_body || !InAllocScope(fn.file)) continue;
       for (const AllocSite& a : fn.allocs) {
         out->push_back({"alloc-in-parallel-for", fn.file, a.line,
-                        std::string("heap allocation (") + a.what + ") in " +
-                            where + " " + fn.qualified_name});
+                        std::string("heap allocation (") + a.what +
+                            ") in parallel-for body " + fn.qualified_name});
       }
       for (const CallSite& c : fn.calls) {
         if (c.static_init) continue;
@@ -383,8 +376,8 @@ class Graph {
           const Reach& sub = Allocates(g);
           if (!sub.yes) continue;
           out->push_back({"alloc-in-parallel-for", fn.file, c.line,
-                          std::string("allocation reachable from ") + where +
-                              " " + fn.qualified_name + " (" +
+                          "allocation reachable from parallel-for body " +
+                              fn.qualified_name + " (" +
                               Loc(fn, c.line) + ") -> " + sub.chain});
           break;
         }

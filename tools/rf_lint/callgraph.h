@@ -14,8 +14,7 @@
 //                                 functions marked `rf-lint-attr(nonblocking)`
 //                                 are exempt.
 //   alloc-in-parallel-for       — heap allocation or container growth
-//                                 reachable from a ParallelFor body or a
-//                                 plan-replay instruction handler (the PR-5
+//                                 reachable from a ParallelFor body (the
 //                                 steady-state zero-alloc invariant, enforced
 //                                 statically).
 //

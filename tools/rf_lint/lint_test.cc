@@ -772,19 +772,6 @@ TEST(GraphTest, AllocReachableFromParallelBody) {
   EXPECT_EQ(CountRule(RunGraphRules(fns), "alloc-in-parallel-for"), 2);
 }
 
-TEST(GraphTest, PlanReplayHandlersAreAllocRoots) {
-  const auto fns = Funcs("src/tensor/plan.cc",
-                         "void ExecMatmul(Ctx& ctx) {\n"
-                         "  ctx.scratch.resize(64);\n"
-                         "}\n"
-                         "void Shutdown(Ctx& ctx) {\n"
-                         "  ctx.scratch.resize(0);\n"
-                         "}\n");
-  const auto findings = RunGraphRules(fns);
-  ASSERT_EQ(CountRule(findings, "alloc-in-parallel-for"), 1);
-  EXPECT_NE(findings[0].message.find("ExecMatmul"), std::string::npos);
-}
-
 TEST(GraphTest, OneTimeStaticInitIsNotSteadyStateAllocation) {
   // A function-local static's initializer allocates exactly once, so an edge
   // through it must not make a parallel body look allocating.

@@ -25,7 +25,7 @@
 //   blocking-reachable-under-lock  (graph) call chain from a critical
 //                           section to a blocking syscall, chain printed.
 //   alloc-in-parallel-for   (graph) allocation reachable from a ParallelFor
-//                           body or plan-replay handler.
+//                           body.
 //
 // Suppressions (in comments):
 //   rf-lint-allow(rule[,rule...])        this line or the next line

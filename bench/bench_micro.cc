@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +33,7 @@
 #include "core/block_classifier.h"
 #include "crf/linear_crf.h"
 #include "doc/sentence_assembler.h"
+#include "nn/lstm.h"
 #include "nn/serialize.h"
 #include "pipeline/pipeline.h"
 #include "resumegen/corpus.h"
@@ -161,6 +163,41 @@ void BM_EncoderForward(benchmark::State& state) {
   ThreadPool::Global().SetNumThreads(1);
 }
 BENCHMARK(BM_EncoderForward)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// The NER head's BiLSTM over one 28-word block (32 -> 24 per direction)
+// under NoGradGuard at pool width 1. Arg = concurrent callers, each on its
+// own thread running kForwards forwards back to back, as Parse(vector)'s
+// workers run it; the time is one caller's wall time per forward.
+void BM_BiLstmForward(benchmark::State& state) {
+  constexpr int kForwards = 64;
+  const int callers = static_cast<int>(state.range(0));
+  ThreadPool::Global().SetNumThreads(1);
+  Rng rng(41);
+  nn::BiLstm bilstm(32, 24, &rng);
+  Tensor x = Tensor::Randn({28, 32}, &rng);
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(callers));
+    for (int c = 0; c < callers; ++c) {
+      threads.emplace_back([&bilstm, &x] {
+        NoGradGuard no_grad;
+        for (int i = 0; i < kForwards; ++i) {
+          benchmark::DoNotOptimize(bilstm.Forward(x));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(wall.count() / kForwards);
+  }
+  state.counters["threads"] = static_cast<double>(callers);
+}
+// Fixed iterations: the minimum run time would count manual (per-forward)
+// time, 1/kForwards of the wall time spent.
+BENCHMARK(BM_BiLstmForward)->Arg(1)->Arg(4)->UseManualTime()->Iterations(8)
+    ->Unit(benchmark::kMicrosecond);
 
 // --- inference fast path: attention, transpose-free GEMM, batched parse ---
 

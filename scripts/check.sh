@@ -11,7 +11,8 @@
 #                             (separate build trees via CMakePresets.json;
 #                             TSan also runs the `stress` label and reruns
 #                             the `serve`, `observability` and `packed`
-#                             labels)
+#                             labels), then 5-second untraced perfbench
+#                             runs of both workloads
 #   scripts/check.sh --lint-only
 #                             fast path: build only rf_lint, run it over the
 #                             tree plus its selftest, then the enforced
@@ -96,6 +97,16 @@ if [[ "${full}" == "1" ]]; then
   echo "==> [tsan] serve+observability+packed focused rerun"
   ctest --preset tsan -L 'serve|observability|packed' --output-on-failure \
     -j "${jobs}"
+  # Short untraced runs of both benchmark workloads, so perfbench's output
+  # checks (batched outputs equal serial Parse, served replies equal direct
+  # parses) and its quality floors run on every full check; a non-zero exit
+  # fails the script. No traced run: its paper-dims closure check is
+  # flaky on a host whose speed drifts between the two timed passes.
+  for workload in batch_archive serve_open; do
+    echo "==> [perfbench] ${workload} --seconds 5 --trace 0"
+    python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 5 \
+      --trace 0
+  done
 fi
 
 echo "==> all checks passed"

@@ -23,30 +23,9 @@ Lstm::Lstm(int input_dim, int hidden_dim, Rng* rng)
 }
 
 Tensor Lstm::Forward(const Tensor& x, bool reverse) const {
-  const int t_len = x.rows();
-  const int h = hidden_dim_;
-  // Precompute input projections for every step at once.
+  // Input projections for every step at once; the recurrence is one op.
   Tensor proj = ops::Add(ops::MatMul(x, w_ih_), bias_);  // [T, 4H]
-
-  Tensor h_prev = Tensor::Zeros({1, h});
-  Tensor c_prev = Tensor::Zeros({1, h});
-  std::vector<Tensor> outputs(t_len);
-  for (int step = 0; step < t_len; ++step) {
-    const int t = reverse ? t_len - 1 - step : step;
-    Tensor gates = ops::Add(ops::SliceRows(proj, t, 1),
-                            ops::MatMul(h_prev, w_hh_));  // [1, 4H]
-    Tensor i_gate = ops::Sigmoid(ops::SliceCols(gates, 0, h));
-    Tensor f_gate = ops::Sigmoid(ops::SliceCols(gates, h, h));
-    Tensor g_gate = ops::Tanh(ops::SliceCols(gates, 2 * h, h));
-    Tensor o_gate = ops::Sigmoid(ops::SliceCols(gates, 3 * h, h));
-    Tensor c_new =
-        ops::Add(ops::Mul(f_gate, c_prev), ops::Mul(i_gate, g_gate));
-    Tensor h_new = ops::Mul(o_gate, ops::Tanh(c_new));
-    outputs[t] = h_new;
-    h_prev = h_new;
-    c_prev = c_new;
-  }
-  return ops::ConcatRows(outputs);
+  return ops::LstmSequence(proj, w_hh_, reverse);
 }
 
 BiLstm::BiLstm(int input_dim, int hidden_dim, Rng* rng) {

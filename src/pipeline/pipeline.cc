@@ -247,14 +247,13 @@ StructuredResume ResuFormerPipeline::ParseDocument(
                                 block.tag == doc::BlockTag::kProjExp;
     if (entity_bearing && !words.empty() && ner_model_ != nullptr) {
       TRACE_SPAN("pipeline.ner");
-      static metrics::Counter* ner_truncations_counter =
+      static metrics::Counter* ner_windowed_blocks_counter =
           metrics::MetricsRegistry::Global().GetCounter(
-              "pipeline.ner_truncations");
-      // Blocks longer than one NER window were silently truncated here
-      // before PredictWords windowed them; the counter keeps that tail
-      // visible.
+              "pipeline.ner_windowed_blocks");
+      // Blocks with more words than one NER window (max_tokens), which
+      // PredictWords splits into windows and predicts window by window.
       if (static_cast<int>(words.size()) > ner_cfg.max_tokens) {
-        ner_truncations_counter->Increment();
+        ner_windowed_blocks_counter->Increment();
       }
       const std::vector<int> entity_labels =
           ner_model_->PredictWords(words, *tokenizer_);

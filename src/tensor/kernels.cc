@@ -235,13 +235,9 @@ void GemmNTI8(const int8_t* a, int lda, const int8_t* b, int ldb, int32_t* c,
   }
 }
 
-void ScaleAddSoftmaxRow(float* row, const float* bias, int n, float scale) {
+void ScaleSoftmaxRow(float* row, int n, float scale) {
   RF_DCHECK_GT(n, 0) << "softmax over an empty row";
-  if (bias != nullptr) {
-    for (int j = 0; j < n; ++j) row[j] = row[j] * scale + bias[j];
-  } else {
-    for (int j = 0; j < n; ++j) row[j] *= scale;
-  }
+  for (int j = 0; j < n; ++j) row[j] *= scale;
   float mx = row[0];
   for (int j = 1; j < n; ++j) mx = std::max(mx, row[j]);
   float total = 0.0f;

@@ -61,11 +61,10 @@ void GemmNTVec(const float* a, int lda, const float* b, int ldb, float* c,
 void GemmNTI8(const int8_t* a, int lda, const int8_t* b, int ldb, int32_t* c,
               int ldc, int bn, int d, int64_t r0, int64_t r1);
 
-/// In-place fused row kernel: row[j] = softmax(row[j] * scale + bias[j])
-/// with the usual max-subtraction. `bias` may be null (no addition). The
-/// op sequence per element (multiply, add, max/exp/sum/divide) matches the
-/// composed Scale -> Add -> Softmax ops exactly.
-void ScaleAddSoftmaxRow(float* row, const float* bias, int n, float scale);
+/// In-place fused row kernel: row[j] = softmax(row[j] * scale) with the
+/// usual max-subtraction. The op sequence per element (multiply, then
+/// max/exp/sum/divide) matches the composed Scale -> Softmax ops exactly.
+void ScaleSoftmaxRow(float* row, int n, float scale);
 
 /// Softmax backward for one row: dx[j] += (dy[j] - dot(dy, y)) * y[j].
 /// When `out_overwrite` is true the result is written (not accumulated)

@@ -190,21 +190,59 @@ inline void LogSoftmaxForward(const float* a, float* o, int m, int n) {
           });
 }
 
-/// bias may be null; bias_broadcast selects the rank-1 row broadcast.
-inline void ScaleAddSoftmaxForward(const float* a, const float* bias,
-                                   bool bias_broadcast, float* o, int m, int n,
-                                   float scale) {
-  const int64_t work = static_cast<int64_t>(m) * n;
-  ForRows(m, work, kRowParallelWork,
-          [&](int /*worker*/, int64_t r0, int64_t r1) {
-            for (int64_t i = r0; i < r1; ++i) {
-              float* orow = o + i * n;
-              std::copy(a + i * n, a + (i + 1) * n, orow);
-              const float* brow =
-                  bias == nullptr ? nullptr : (bias_broadcast ? bias : bias + i * n);
-              kernels::ScaleAddSoftmaxRow(orow, brow, n, scale);
-            }
-          });
+/// Gate activations and cell state one LSTM step keeps per hidden unit:
+/// i, f, g, o, c and tanh(c), each a block of H floats.
+inline constexpr int kLstmStepBlocks = 6;
+
+/// One LSTM direction over the input projections `proj` [T, 4H] (gate
+/// column blocks i, f, g, o) with recurrent weights `w_hh` [H, 4H]. Writes
+/// the hidden states to `out` [T, H] in input order; `reverse` processes
+/// the rows right to left. `scratch` is 5H zero-filled floats: the [1, 4H]
+/// gate row and a zero initial state. Processed step s keeps its
+/// kLstmStepBlocks blocks at `steps + s * step_stride`; a stride of 0 reuses
+/// one row, which is all the recurrence reads back.
+///
+/// Each step makes the kernel calls of the per-step op chain in the chain's
+/// order, so every output bit matches it: GemmNN of h_prev·W_hh into a
+/// zeroed row (what MatMulNNForward runs at m = 1), proj[t] + 1·mm, the
+/// gate activations, c = f·c_prev + 1·(i·g), then h = o·tanh(c). Step 0
+/// starts from zero h and c rows, and each step counts one NN GEMM.
+inline void LstmSequenceForward(const float* proj, const float* w_hh,
+                                float* out, float* scratch, float* steps,
+                                int64_t step_stride, int t_len, int h,
+                                bool reverse) {
+  const int g4 = 4 * h;
+  float* gates = scratch;
+  const float* zeros = scratch + g4;
+  for (int s = 0; s < t_len; ++s) {
+    const int t = reverse ? t_len - 1 - s : s;
+    float* step = steps + s * step_stride;
+    const float* h_prev =
+        s == 0 ? zeros : out + static_cast<int64_t>(reverse ? t + 1 : t - 1) * h;
+    const float* c_prev = s == 0 ? zeros : step - step_stride + 4 * h;
+    std::fill(gates, gates + g4, 0.0f);
+    kernels::GemmNN(h_prev, h, w_hh, g4, gates, g4, h, g4, 0, 1);
+    CountGemm(GemmForm::kNN, static_cast<int64_t>(h) * g4);
+    const float* prow = proj + static_cast<int64_t>(t) * g4;
+    for (int j = 0; j < g4; ++j) gates[j] = prow[j] + 1.0f * gates[j];
+    float* hrow = out + static_cast<int64_t>(t) * h;
+    for (int k = 0; k < h; ++k) {
+      const float i = SigmoidScalar(gates[k]);
+      const float f = SigmoidScalar(gates[h + k]);
+      const float g = TanhScalar(gates[2 * h + k]);
+      const float o = SigmoidScalar(gates[3 * h + k]);
+      // With a zero stride c_prev aliases step's c block; read it first.
+      const float c = f * c_prev[k] + 1.0f * (i * g);
+      const float tc = TanhScalar(c);
+      step[k] = i;
+      step[h + k] = f;
+      step[2 * h + k] = g;
+      step[3 * h + k] = o;
+      step[4 * h + k] = c;
+      step[5 * h + k] = tc;
+      hrow[k] = o * tc;
+    }
+  }
 }
 
 /// Fused multi-head attention forward over packed sequences. Sequence s
@@ -245,7 +283,7 @@ inline void FusedAttentionForward(const float* q, const float* k,
               float* prow = attn + attn_offsets[s] + local * t_len;
               kernels::GemmNTVec(q + off + i * dim, dim, k + off, dim, prow,
                                  t_len, t_len, head_dim, 0, 1);
-              kernels::ScaleAddSoftmaxRow(prow, nullptr, t_len, scale);
+              kernels::ScaleSoftmaxRow(prow, t_len, scale);
               kernels::GemmNN(prow, t_len, v + off, dim, o + off + i * dim,
                               dim, t_len, head_dim, 0, 1);
             }

@@ -507,73 +507,6 @@ Tensor LogSoftmax(const Tensor& a) {
   return out;
 }
 
-Tensor ScaleAddSoftmax(const Tensor& a, float scale, const Tensor& bias) {
-  const int m = a.rows(), n = a.cols();
-  const bool has_bias = bias.defined();
-  bool bias_broadcast = false;
-  if (has_bias) {
-    if (bias.rank() == 1 && a.rank() == 2 && bias.size() == n &&
-        !SameShape(a, bias)) {
-      bias_broadcast = true;
-    } else {
-      RF_CHECK(SameShape(a, bias))
-          << a.ShapeString() << " vs " << bias.ShapeString();
-    }
-  }
-  std::vector<ImplPtr> parents = {a.impl()};
-  if (has_bias) parents.push_back(bias.impl());
-  Tensor out = MakeNode(a.shape(), std::move(parents));
-  const int64_t work = static_cast<int64_t>(m) * n;
-  opcompute::ScaleAddSoftmaxForward(a.data(),
-                                    has_bias ? bias.data() : nullptr,
-                                    bias_broadcast, out.data(), m, n, scale);
-  TensorImpl* self = out.impl().get();
-  auto ai = a.impl();
-  auto bi = has_bias ? bias.impl() : ImplPtr();
-  SetBackward(&out, [self, ai, bi, m, n, work, scale, bias_broadcast]() {
-    const bool need_da = ai->requires_grad;
-    const bool need_dbias = bi != nullptr && bi->requires_grad;
-    if (!need_da && !need_dbias) return;
-    if (need_da) ai->EnsureGrad();
-    if (need_dbias) bi->EnsureGrad();
-    if (need_dbias && bias_broadcast) {
-      // The broadcast bias gradient folds every row into one shared vector;
-      // stay serial (rare: attention biases are buffers, not parameters).
-      std::vector<float> dt(n);
-      for (int64_t i = 0; i < m; ++i) {
-        const float* y = self->data_ptr() + i * n;
-        const float* dy = self->grad.data() + i * n;
-        kernels::SoftmaxBackwardRow(y, dy, dt.data(), n, /*out_overwrite=*/true);
-        for (int j = 0; j < n; ++j) bi->grad[j] += dt[j];
-        if (need_da) {
-          float* da = ai->grad.data() + i * n;
-          for (int j = 0; j < n; ++j) da[j] += scale * dt[j];
-        }
-      }
-      return;
-    }
-    ForRows(m, work, kRowParallelWork,
-            [&](int /*worker*/, int64_t r0, int64_t r1) {
-              std::vector<float> dt(n);
-              for (int64_t i = r0; i < r1; ++i) {
-                const float* y = self->data_ptr() + i * n;
-                const float* dy = self->grad.data() + i * n;
-                kernels::SoftmaxBackwardRow(y, dy, dt.data(), n,
-                                            /*out_overwrite=*/true);
-                if (need_da) {
-                  float* da = ai->grad.data() + i * n;
-                  for (int j = 0; j < n; ++j) da[j] += scale * dt[j];
-                }
-                if (need_dbias) {
-                  float* db = bi->grad.data() + i * n;
-                  for (int j = 0; j < n; ++j) db[j] += dt[j];
-                }
-              }
-            });
-  });
-  return out;
-}
-
 Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
                                const Tensor& v,
                                const std::vector<int>& segment_offsets,
@@ -706,6 +639,95 @@ Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
                   }
                 }
               });
+    }
+  });
+  return out;
+}
+
+Tensor LstmSequence(const Tensor& proj, const Tensor& w_hh, bool reverse) {
+  TRACE_SPAN("lstm.sequence");
+  RF_CHECK_EQ(proj.rank(), 2);
+  RF_CHECK_EQ(w_hh.rank(), 2);
+  const int t_len = proj.dim(0), h = w_hh.dim(0), g4 = 4 * h;
+  RF_CHECK_GT(t_len, 0);
+  RF_CHECK_EQ(w_hh.dim(1), g4);
+  RF_CHECK_EQ(proj.dim(1), g4);
+  Tensor out = MakeNode({t_len, h}, {proj.impl(), w_hh.impl()});
+  const bool save = out.impl()->requires_grad;
+  const int64_t step_width =
+      static_cast<int64_t>(opcompute::kLstmStepBlocks) * h;
+  ArenaBuffer scratch(5 * static_cast<int64_t>(h));
+  ArenaBuffer steps(save ? t_len * step_width : step_width);
+  opcompute::LstmSequenceForward(proj.data(), w_hh.data(), out.data(),
+                                 scratch.data(), steps.data(),
+                                 save ? step_width : 0, t_len, h, reverse);
+  if (!save) return out;
+
+  // BPTT replays the chain's backward closures step by step, last processed
+  // step first, as the tape ran them. Every chain node but dW_hh received
+  // at most two gradient contributions (and two commute), so each node's
+  // expression is copied as its op writes it, with a first contribution
+  // into a zeroed buffer written as 0 + x. dW_hh is the one ordered sum:
+  // one h_prevᵀ·dgates per step, step 0's zero state last.
+  auto saved = std::make_shared<ArenaBuffer>(std::move(steps));
+  TensorImpl* self = out.impl().get();
+  auto pi = proj.impl(), wi = w_hh.impl();
+  SetBackward(&out, [self, pi, wi, saved, t_len, h, g4, step_width,
+                     reverse]() {
+    const bool need_dproj = pi->requires_grad;
+    const bool need_dw = wi->requires_grad;
+    if (need_dproj) pi->EnsureGrad();
+    if (need_dw) wi->EnsureGrad();
+    const float* w = wi->data_ptr();
+    const float* hs = self->data_ptr();
+    const float* dout = self->grad.data();
+    // dgates [4H] | dh [H] | c_prev's gradient from the later step [H] |
+    // zero state [H].
+    ArenaBuffer scratch(7 * static_cast<int64_t>(h));
+    float* dgates = scratch.data();
+    float* dh = dgates + g4;
+    float* dc_carry = dh + h;
+    const float* zeros = dc_carry + h;
+    for (int s = t_len - 1; s >= 0; --s) {
+      const int t = reverse ? t_len - 1 - s : s;
+      const bool has_next = s + 1 < t_len;
+      const float* step = saved->data() + s * step_width;
+      const float* c_prev = s == 0 ? zeros : step - step_width + 4 * h;
+      const float* h_prev =
+          s == 0 ? zeros
+                 : hs + static_cast<int64_t>(reverse ? t + 1 : t - 1) * h;
+      // dh: the output row, plus the later step's dgates·W_hhᵀ as MatMul's
+      // dA adds it (dgates still holds that step's row).
+      const float* dout_row = dout + static_cast<int64_t>(t) * h;
+      for (int k = 0; k < h; ++k) dh[k] = 0.0f + dout_row[k];
+      if (has_next) GemmAccRowsNT(dgates, w, dh, h, g4, 0, 1);
+      for (int k = 0; k < h; ++k) {
+        const float i = step[k], f = step[h + k], g = step[2 * h + k];
+        const float o = step[3 * h + k], tc = step[5 * h + k];
+        // h = o·tanh(c): Mul's dy·b for each side.
+        const float d_o = 0.0f + dh[k] * tc;
+        const float d_tc = 0.0f + dh[k] * o;
+        // c: Tanh's dy·(1 − y²), plus the later step's f·c_prev product.
+        float dc = 0.0f + d_tc * (1.0f - tc * tc);
+        if (has_next) dc += dc_carry[k];
+        // c = fc + 1·ig: Add's dy and 1·dy.
+        const float d_fc = 0.0f + dc;
+        const float d_ig = 0.0f + 1.0f * dc;
+        const float d_f = 0.0f + d_fc * c_prev[k];
+        dc_carry[k] = d_fc * f;
+        const float d_i = 0.0f + d_ig * g;
+        const float d_g = 0.0f + d_ig * i;
+        // Sigmoid's dy·y(1 − y) and Tanh's dy·(1 − y²) on the gate blocks.
+        dgates[k] = 0.0f + d_i * (i * (1.0f - i));
+        dgates[h + k] = 0.0f + d_f * (f * (1.0f - f));
+        dgates[2 * h + k] = 0.0f + d_g * (1.0f - g * g);
+        dgates[3 * h + k] = 0.0f + d_o * (o * (1.0f - o));
+      }
+      if (need_dproj) {
+        float* dp = pi->grad.data() + static_cast<int64_t>(t) * g4;
+        for (int j = 0; j < g4; ++j) dp[j] += dgates[j];
+      }
+      if (need_dw) GemmAccRowsTN(h_prev, dgates, wi->grad.data(), 1, h, g4, 0, h);
     }
   });
   return out;

@@ -49,13 +49,6 @@ Tensor Sigmoid(const Tensor& a);
 Tensor Softmax(const Tensor& a);
 Tensor LogSoftmax(const Tensor& a);
 
-/// Fused softmax(a * scale + bias) in one pass over the rows. `bias` is
-/// optional (undefined Tensor): same shape as `a`, or rank-1 of size
-/// a.cols() broadcast over rows. Bit-identical to the composed
-/// Softmax(Add(Scale(a, scale), bias)) at any thread count.
-Tensor ScaleAddSoftmax(const Tensor& a, float scale,
-                       const Tensor& bias = Tensor());
-
 /// Fused multi-head scaled-dot-product self-attention core over one or more
 /// packed sequences: q/k/v are [T, dim] with dim = num_heads * head_dim
 /// (heads are column blocks). `segment_offsets` lists the first row of each
@@ -75,6 +68,17 @@ Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
                                const Tensor& v,
                                const std::vector<int>& segment_offsets,
                                int num_heads);
+
+/// The whole recurrence of one LSTM direction as one op. `proj` [T, 4H]
+/// holds each step's input projection x·W_ih + b (gate column blocks i, f,
+/// g, o), `w_hh` [H, 4H] the recurrent weights; returns the hidden states
+/// [T, H] in input order, computed right to left when `reverse`. Starts
+/// from zero h and c. Output and the gradients of `proj` and `w_hh` are
+/// bit-identical to the per-step chain of MatMul/Add/SliceCols/Sigmoid/
+/// Tanh/Mul ops it replaces, and each step counts one NN GEMM of
+/// [1, H]·[H, 4H]. Under NoGradGuard it saves nothing for backward and
+/// draws a constant number of arena buffers whatever T is.
+Tensor LstmSequence(const Tensor& proj, const Tensor& w_hh, bool reverse);
 
 /// Mean negative log-likelihood of `targets` under row-wise softmax of
 /// `logits` [m, n]. Rows whose target equals `ignore_index` contribute

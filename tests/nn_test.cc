@@ -3,10 +3,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "gradcheck.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
@@ -148,9 +152,20 @@ TEST(LstmTest, ShapesAndReverseAlignment) {
   Tensor fwd = lstm.Forward(x, false);
   EXPECT_EQ(fwd.rows(), 5);
   EXPECT_EQ(fwd.cols(), 4);
-  // Reverse: output row 4 should equal forward-over-reversed-input row 0.
+  // Reverse processes rows 4, 3, ..., 0 and returns them in input order, so
+  // its row 4 - r is, bit for bit, row r of a forward pass over the
+  // reversed input.
   Tensor rev = lstm.Forward(x, true);
-  EXPECT_EQ(rev.rows(), 5);
+  ASSERT_EQ(rev.rows(), 5);
+  ASSERT_EQ(rev.cols(), 4);
+  Tensor fwd_of_reversed =
+      lstm.Forward(ops::GatherRows(x, {4, 3, 2, 1, 0}), false);
+  for (int r = 0; r < 5; ++r) {
+    EXPECT_EQ(0, std::memcmp(rev.data() + (4 - r) * 4,
+                             fwd_of_reversed.data() + r * 4,
+                             4 * sizeof(float)))
+        << "reverse row " << 4 - r << " vs forward-over-reversed row " << r;
+  }
 }
 
 TEST(LstmTest, GradThroughTime) {
@@ -158,6 +173,138 @@ TEST(LstmTest, GradThroughTime) {
   Lstm lstm(4, 3, &rng);
   Tensor x = Tensor::Randn({4, 4}, &rng);
   EXPECT_LT(GradCheck(x, [&]() { return ops::Mean(lstm.Forward(x)); }), kTol);
+}
+
+// The per-step op chain nn::Lstm ran before ops::LstmSequence (about 16
+// ops per step), kept only as the oracle the op must match bit for bit.
+Tensor ChainLstmDirection(const Tensor& x, const Tensor& w_ih,
+                          const Tensor& w_hh, const Tensor& bias,
+                          bool reverse) {
+  const int t_len = x.rows();
+  const int h = w_hh.dim(0);
+  Tensor proj = ops::Add(ops::MatMul(x, w_ih), bias);  // [T, 4H]
+  Tensor h_prev = Tensor::Zeros({1, h});
+  Tensor c_prev = Tensor::Zeros({1, h});
+  std::vector<Tensor> outputs(t_len);
+  for (int step = 0; step < t_len; ++step) {
+    const int t = reverse ? t_len - 1 - step : step;
+    Tensor gates = ops::Add(ops::SliceRows(proj, t, 1),
+                            ops::MatMul(h_prev, w_hh));  // [1, 4H]
+    Tensor i_gate = ops::Sigmoid(ops::SliceCols(gates, 0, h));
+    Tensor f_gate = ops::Sigmoid(ops::SliceCols(gates, h, h));
+    Tensor g_gate = ops::Tanh(ops::SliceCols(gates, 2 * h, h));
+    Tensor o_gate = ops::Sigmoid(ops::SliceCols(gates, 3 * h, h));
+    Tensor c_new =
+        ops::Add(ops::Mul(f_gate, c_prev), ops::Mul(i_gate, g_gate));
+    Tensor h_new = ops::Mul(o_gate, ops::Tanh(c_new));
+    outputs[t] = h_new;
+    h_prev = h_new;
+    c_prev = c_new;
+  }
+  return ops::ConcatRows(outputs);
+}
+
+// One BiLstm pass: its output, the gradients of x and of every parameter,
+// and the GEMM work its forward counted.
+struct BiLstmPass {
+  std::vector<float> out;
+  std::vector<std::vector<float>> grads;
+  int64_t gemm_nn_calls = 0;
+  int64_t gemm_flops = 0;
+};
+
+void ExpectSameBits(const std::vector<float>& a, const std::vector<float>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(0, std::memcmp(&a[i], &b[i], sizeof(float)))
+        << what << " element " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+TEST(LstmTest, SequenceOpMatchesPerStepChainBitExact) {
+  auto& registry = metrics::MetricsRegistry::Global();
+  metrics::Counter* nn_calls = registry.GetCounter("ops.gemm_nn.calls");
+  metrics::Counter* flops = registry.GetCounter("ops.gemm.forward_flops");
+  const int input_dim = 16;
+  for (int threads : {1, 4}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (int h : {5, 24, 128}) {  // 128 reaches the GEMM parallel threshold
+      Rng rng(100 + h);
+      BiLstm bilstm(input_dim, h, &rng);
+      // w_ih, w_hh, bias of the forward direction, then of the reverse one.
+      const std::vector<Tensor> params = bilstm.Parameters();
+      ASSERT_EQ(params.size(), 6u);
+      for (int t_len : {1, 2, 28, 120}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " H=" + std::to_string(h) +
+                     " T=" + std::to_string(t_len));
+        Tensor x = Tensor::Randn({t_len, input_dim}, &rng);
+        x.set_requires_grad(true);
+        Tensor w = Tensor::Randn({t_len, 2 * h}, &rng);
+        auto run = [&](const std::function<Tensor()>& forward) {
+          x.ZeroGrad();
+          bilstm.ZeroGrad();
+          BiLstmPass pass;
+          const int64_t calls_before = nn_calls->value();
+          const int64_t flops_before = flops->value();
+          Tensor y = forward();
+          pass.gemm_nn_calls = nn_calls->value() - calls_before;
+          pass.gemm_flops = flops->value() - flops_before;
+          ops::Mean(ops::Mul(y, w)).Backward();
+          pass.out.assign(y.data(), y.data() + y.size());
+          pass.grads.push_back(x.impl()->grad);
+          for (const Tensor& p : params) pass.grads.push_back(p.impl()->grad);
+          return pass;
+        };
+        const BiLstmPass fused = run([&]() { return bilstm.Forward(x); });
+        const BiLstmPass chain = run([&]() {
+          return ops::ConcatCols(
+              {ChainLstmDirection(x, params[0], params[1], params[2], false),
+               ChainLstmDirection(x, params[3], params[4], params[5], true)});
+        });
+        ExpectSameBits(fused.out, chain.out, "output");
+        const char* names[] = {"x",     "fwd w_ih", "fwd w_hh", "fwd bias",
+                               "rev w_ih", "rev w_hh", "rev bias"};
+        ASSERT_EQ(fused.grads.size(), 7u);
+        for (size_t g = 0; g < fused.grads.size(); ++g) {
+          ExpectSameBits(fused.grads[g], chain.grads[g],
+                         std::string(names[g]) + " grad");
+        }
+        EXPECT_EQ(fused.gemm_nn_calls, chain.gemm_nn_calls);
+        EXPECT_EQ(fused.gemm_nn_calls, 2 * (t_len + 1));
+        EXPECT_EQ(fused.gemm_flops, chain.gemm_flops);
+
+        // Inference saves nothing for backward and keeps one step's state;
+        // the output bits stay the same.
+        NoGradGuard no_grad;
+        Tensor inferred = bilstm.Forward(x);
+        ExpectSameBits(
+            std::vector<float>(inferred.data(),
+                               inferred.data() + inferred.size()),
+            fused.out, "NoGradGuard output");
+      }
+    }
+  }
+  ThreadPool::Global().SetNumThreads(1);
+}
+
+TEST(LstmTest, InferenceDrawsArenaBuffersIndependentOfLength) {
+  Rng rng(15);
+  BiLstm bilstm(32, 24, &rng);  // an NER block's dims
+  NoGradGuard no_grad;
+  auto buffers_for = [&](int t_len) {
+    Tensor x = Tensor::Randn({t_len, 32}, &rng);
+    const TensorArena::ThreadStats before = TensorArena::thread_stats();
+    Tensor y = bilstm.Forward(x);
+    const TensorArena::ThreadStats after = TensorArena::thread_stats();
+    return (after.hits + after.misses) - (before.hits + before.misses);
+  };
+  const int64_t at_28 = buffers_for(28);
+  EXPECT_EQ(buffers_for(120), at_28);
+  // Per direction: the projection's MatMul and Add, then the op's output,
+  // step scratch and state; plus the concat.
+  EXPECT_LE(at_28, 11);
 }
 
 TEST(BiLstmTest, ConcatenatesDirections) {

@@ -638,51 +638,20 @@ TEST(FusedOpsTest, MatMulTransposedGradCheck) {
   EXPECT_LT(GradCheck(d, loss_at), kTol);
 }
 
-TEST(FusedOpsTest, ScaleAddSoftmaxMatchesComposed) {
-  const float scale = 0.37f;
-  Tensor x = RandTensor({7, 9}, 970);
-  Tensor full_bias = RandTensor({7, 9}, 971);
-  Tensor row_bias = RandTensor({9}, 972);
-  Tensor w = RandTensor({7, 9}, 973);
-  // Bias variants: none, same-shape, rank-1 broadcast over rows.
-  for (int variant = 0; variant < 3; ++variant) {
-    Tensor bias =
-        variant == 0 ? Tensor() : (variant == 1 ? full_bias : row_bias);
-    x.set_requires_grad(true);
-    if (bias.defined()) bias.set_requires_grad(true);
-
-    x.ZeroGrad();
-    if (bias.defined()) bias.ZeroGrad();
-    Tensor fused = ops::ScaleAddSoftmax(x, scale, bias);
-    ops::Mean(ops::Mul(fused, w)).Backward();
-    std::vector<float> fused_dx = GradOf(x);
-    std::vector<float> fused_dbias = bias.defined() ? GradOf(bias)
-                                                    : std::vector<float>();
-
-    x.ZeroGrad();
-    if (bias.defined()) bias.ZeroGrad();
-    Tensor scaled = ops::Scale(x, scale);
-    Tensor composed =
-        ops::Softmax(bias.defined() ? ops::Add(scaled, bias) : scaled);
-    ops::Mean(ops::Mul(composed, w)).Backward();
-
-    ExpectBitEqual(fused, composed);
-    ExpectAllNear(fused_dx, GradOf(x), 1e-5f);
-    if (bias.defined()) ExpectAllNear(fused_dbias, GradOf(bias), 1e-5f);
+TEST(FusedOpsTest, LstmSequenceGradCheck) {
+  // H = 3, T = 5: gradients through the whole recurrence, both directions.
+  Tensor proj = RandTensor({5, 12}, 990, 0.5f);
+  Tensor w_hh = RandTensor({3, 12}, 991, 0.5f);
+  Tensor w = RandTensor({5, 3}, 992);
+  proj.set_requires_grad(true);
+  w_hh.set_requires_grad(true);
+  for (bool reverse : {false, true}) {
+    auto loss = [&]() {
+      return ops::Mean(ops::Mul(ops::LstmSequence(proj, w_hh, reverse), w));
+    };
+    EXPECT_LT(GradCheck(proj, loss), kTol) << "reverse=" << reverse;
+    EXPECT_LT(GradCheck(w_hh, loss), kTol) << "reverse=" << reverse;
   }
-}
-
-TEST(FusedOpsTest, ScaleAddSoftmaxGradCheck) {
-  Tensor x = RandTensor({3, 6}, 980, 0.5f);
-  Tensor bias = RandTensor({6}, 981, 0.5f);
-  Tensor w = RandTensor({3, 6}, 982);
-  x.set_requires_grad(true);
-  bias.set_requires_grad(true);
-  auto loss = [&]() {
-    return ops::Mean(ops::Mul(ops::ScaleAddSoftmax(x, 0.61f, bias), w));
-  };
-  EXPECT_LT(GradCheck(x, loss), kTol);
-  EXPECT_LT(GradCheck(bias, loss), kTol);
 }
 
 TEST(FusedOpsTest, FusedAttentionMatchesComposed) {
